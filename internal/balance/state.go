@@ -17,13 +17,13 @@ import (
 // dropping them at a crash would silently thin that bin.
 type State[T any] struct {
 	// RNG is the PCG state via its binary marshaling.
-	RNG []byte `json:"rng"`
+	RNG []byte
 	// Cur is the minute bin currently buffered.
-	Cur int64 `json:"cur"`
+	Cur int64
 	// Buf holds the records of the in-progress bin.
-	Buf []T `json:"buf"`
+	Buf []T
 	// Stats is the accounting snapshot.
-	Stats Stats `json:"stats"`
+	Stats Stats
 }
 
 // Checkpoint captures the balancer's full state. The balancer must be

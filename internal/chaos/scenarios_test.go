@@ -483,6 +483,15 @@ func TestChaosScenarios(t *testing.T) {
 				if got := metricValue(t, out.Metrics, "ixps_checkpoints_total"); got != 2 {
 					t.Errorf("ixps_checkpoints_total = %v, want 2 (one per round)", got)
 				}
+				if failed := metricValue(t, out.Metrics, "ixps_checkpoint_failures_total"); failed != 0 {
+					t.Errorf("ixps_checkpoint_failures_total = %v on a fault-free filesystem", failed)
+				}
+				if timed := metricValue(t, out.Metrics, "ixps_checkpoint_duration_seconds_count"); timed != 2 {
+					t.Errorf("ixps_checkpoint_duration_seconds_count = %v, want 2", timed)
+				}
+				if size := metricValue(t, out.Metrics, "ixps_checkpoint_bytes"); size <= 0 {
+					t.Errorf("ixps_checkpoint_bytes = %v after two checkpoints", size)
+				}
 			},
 		},
 		{

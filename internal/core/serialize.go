@@ -38,15 +38,27 @@ const (
 	BundleClassifierOnly = "classifier-only"
 )
 
+// bundleJSON is the envelope. It is declared as the members before the
+// encoder, the encoder, and the members after it because save writes it
+// that way: the encoder is nearly all of a full bundle, and it is spliced
+// in as it is instead of being re-scanned as a json.RawMessage.
 type bundleJSON struct {
+	bundleHead
+	Encoder json.RawMessage `json:"encoder,omitempty"`
+	bundleTail
+}
+
+type bundleHead struct {
 	Version int             `json:"version"`
 	Kind    string          `json:"kind,omitempty"` // empty = full (pre-registry bundles)
 	Model   ModelName       `json:"model"`
 	Config  Config          `json:"config"`
 	Rules   json.RawMessage `json:"rules"`
-	Encoder json.RawMessage `json:"encoder,omitempty"`
-	Kept    []int           `json:"kept_columns"`
-	XGB     json.RawMessage `json:"xgb"`
+}
+
+type bundleTail struct {
+	Kept []int           `json:"kept_columns"`
+	XGB  json.RawMessage `json:"xgb"`
 }
 
 // Save writes the fitted scrubber as a full JSON bundle. Only the XGB model
@@ -102,19 +114,34 @@ func (s *Scrubber) save(w io.Writer, kind string) error {
 	// different machines. Normalize it out; loaders pick their own.
 	cfg := s.cfg
 	cfg.Workers = 0
-	out := bundleJSON{
+	head, err := json.Marshal(&bundleHead{
 		Version: bundleVersion,
 		Kind:    kind,
 		Model:   s.cfg.Model,
 		Config:  cfg,
 		Rules:   json.RawMessage(rules.Bytes()),
-		Kept:    kept,
-		XGB:     json.RawMessage(xgbBuf.Bytes()),
+	})
+	if err != nil {
+		return fmt.Errorf("core: saving bundle: %w", err)
 	}
+	tail, err := json.Marshal(&bundleTail{Kept: kept, XGB: json.RawMessage(xgbBuf.Bytes())})
+	if err != nil {
+		return fmt.Errorf("core: saving bundle: %w", err)
+	}
+	// One object, as json.NewEncoder(w).Encode(&bundleJSON{...}) writes it:
+	// head's members, the encoder, tail's members, a newline. The encoder's
+	// own Save output is already what encoding/json would make of it —
+	// compact, HTML-escaped — less its trailing newline.
+	b := make([]byte, 0, len(head)+len(`,"encoder":`)+encoder.Len()+len(tail)+1)
+	b = append(b, head[:len(head)-1]...)
 	if kind == BundleFull {
-		out.Encoder = json.RawMessage(encoder.Bytes())
+		b = append(b, `,"encoder":`...)
+		b = append(b, bytes.TrimSuffix(encoder.Bytes(), []byte("\n"))...)
 	}
-	if err := json.NewEncoder(w).Encode(&out); err != nil {
+	b = append(b, ',')
+	b = append(b, tail[1:]...)
+	b = append(b, '\n')
+	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("core: saving bundle: %w", err)
 	}
 	return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -52,6 +53,36 @@ func TestBundleSaveLoadRoundTrip(t *testing.T) {
 	}
 	if len(ex.Evidence) == 0 {
 		t.Error("no evidence after load")
+	}
+}
+
+// TestBundleBytesAreEncodingJSON pins the hand-assembled envelope to what
+// encoding/json makes of the same bundleJSON: bundle bytes are content
+// hashes, registry ids and cluster digests.
+func TestBundleBytesAreEncodingJSON(t *testing.T) {
+	s, _ := quickScrubber(t)
+	s.Encoder().Override("src_ip", 42, -3.5)
+	for kind, save := range map[string]func(*bytes.Buffer) error{
+		BundleFull:           func(b *bytes.Buffer) error { return s.Save(b) },
+		BundleClassifierOnly: func(b *bytes.Buffer) error { return s.SaveClassifierOnly(b) },
+	} {
+		var got, want bytes.Buffer
+		if err := save(&got); err != nil {
+			t.Fatal(err)
+		}
+		var in bundleJSON
+		if err := json.Unmarshal(got.Bytes(), &in); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if in.Kind != kind || (len(in.Encoder) > 0) != (kind == BundleFull) || len(in.XGB) == 0 {
+			t.Fatalf("%s: envelope decoded as kind=%q encoder=%d xgb=%d bytes", kind, in.Kind, len(in.Encoder), len(in.XGB))
+		}
+		if err := json.NewEncoder(&want).Encode(&in); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s bundle is not what encoding/json writes (%d vs %d bytes)", kind, got.Len(), want.Len())
+		}
 	}
 }
 

@@ -3,12 +3,9 @@ package ixpsim
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/netip"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -192,6 +189,10 @@ type trainMetrics struct {
 	aclWrites     *obs.Counter
 	aclEntries    *obs.Gauge
 	checkpoints   *obs.Counter
+
+	checkpointFailures *obs.Counter
+	checkpointDuration *obs.Histogram
+	checkpointBytes    *obs.Gauge
 }
 
 func newTrainMetrics(r *obs.Registry) *trainMetrics {
@@ -214,6 +215,12 @@ func newTrainMetrics(r *obs.Registry) *trainMetrics {
 			"ACL entries generated by the last round."),
 		checkpoints: r.Counter("ixps_checkpoints_total",
 			"Pipeline state checkpoints persisted."),
+		checkpointFailures: r.Counter("ixps_checkpoint_failures_total",
+			"Checkpoints that could not be encoded or published (the previous file stays in place)."),
+		checkpointDuration: r.Histogram("ixps_checkpoint_duration_seconds",
+			"Wall time of one checkpoint: bundle the model, encode, publish.", nil),
+		checkpointBytes: r.Gauge("ixps_checkpoint_bytes",
+			"Size of the last checkpoint persisted."),
 	}
 }
 
@@ -330,12 +337,19 @@ func (p *Pipeline) Start(ctx context.Context) {
 			if p.cfg.ConsumeGate != nil {
 				p.cfg.ConsumeGate(ctx)
 			}
-			p.balMu.Lock()
-			p.bal.AddBatch(batch)
-			p.balMu.Unlock()
-			p.ingested.Add(uint64(len(batch)))
+			p.ingest(batch)
 		}
 	}()
+}
+
+// ingest moves one batch through the balancer. The count moves with it,
+// under the balancer's lock: a checkpoint taken between two batches must
+// see both changes or neither.
+func (p *Pipeline) ingest(batch []netflow.Record) {
+	p.balMu.Lock()
+	p.bal.AddBatch(batch)
+	p.ingested.Add(uint64(len(batch)))
+	p.balMu.Unlock()
 }
 
 // Stop closes the ingest queue and waits for the consumer to drain it.
@@ -408,8 +422,6 @@ func (p *Pipeline) TrainRound(ctx context.Context, now int64) (*Round, error) {
 			// The round itself succeeded; a failed checkpoint degrades
 			// restart fidelity, not serving.
 			p.cfg.Log.Error("checkpoint failed", "err", err)
-		} else if p.tm != nil {
-			p.tm.checkpoints.Inc()
 		}
 	}
 	if p.tm != nil {
@@ -583,163 +595,4 @@ func (p *Pipeline) trainAndClassify(ctx context.Context, records []netflow.Recor
 		Shadowed:     shadowed,
 		Disagreement: disagreement,
 	}, nil
-}
-
-// checkpointVersion guards the envelope layout.
-const checkpointVersion = 1
-
-// checkpointJSON is the pipeline's crash-recovery envelope: the balancer
-// (RNG, in-progress bin, stats), the sliding window, and — once trained —
-// the full model bundle. Restoring it resumes the training stream
-// bit-for-bit; only batches still in the ingest queue at crash time are
-// lost, which mirrors what UDP loses anyway.
-type checkpointJSON struct {
-	Version  int                            `json:"version"`
-	Seed     uint64                         `json:"seed"`
-	Ingested uint64                         `json:"ingested"`
-	Balancer *balance.State[netflow.Record] `json:"balancer"`
-	Window   []netflow.Record               `json:"window"`
-	Trained  bool                           `json:"trained"`
-	Bundle   json.RawMessage                `json:"bundle,omitempty"`
-	// ModelSeq is the serving champion's sequence at checkpoint time, so a
-	// restored pipeline resumes the version count instead of restarting at
-	// 1 (additive; absent in pre-lifecycle checkpoints).
-	ModelSeq uint64 `json:"model_seq,omitempty"`
-	// DropProgram is the live drop program's rule list in DROP1 bytes
-	// (additive; only with the dropper enabled). Restore recompiles it so
-	// post-restart dropping is bit-identical to pre-crash.
-	DropProgram []byte `json:"drop_program,omitempty"`
-}
-
-// SaveCheckpoint atomically persists the pipeline state to CheckpointPath.
-// The queue consumer keeps running; the balancer and window are snapshotted
-// under their locks. For bit-exact restore semantics, checkpoint at a
-// quiescent point (the training tick, after the queue drained).
-func (p *Pipeline) SaveCheckpoint(ctx context.Context) error {
-	if p.cfg.CheckpointPath == "" {
-		return errors.New("ixpsim: no checkpoint path configured")
-	}
-	cp := checkpointJSON{
-		Version:  checkpointVersion,
-		Seed:     p.cfg.Seed,
-		Ingested: p.ingested.Load(),
-		Trained:  p.trained.Load(),
-	}
-	if ch := p.champion.Load(); ch != nil {
-		cp.ModelSeq = ch.seq
-	}
-	if p.drop != nil {
-		if prog := p.drop.Program(); prog != nil && prog.Len() > 0 {
-			cp.DropProgram = dropper.Marshal(prog.Rules())
-		}
-	}
-	p.balMu.Lock()
-	st, err := p.bal.Checkpoint()
-	p.balMu.Unlock()
-	if err != nil {
-		return err
-	}
-	cp.Balancer = st
-	p.winMu.Lock()
-	cp.Window = append([]netflow.Record(nil), p.window...)
-	p.winMu.Unlock()
-	if cp.Trained {
-		var buf bytes.Buffer
-		if err := p.trainer.Save(&buf); err != nil {
-			return fmt.Errorf("ixpsim: bundling model: %w", err)
-		}
-		cp.Bundle = buf.Bytes()
-	}
-	data, err := json.Marshal(&cp)
-	if err != nil {
-		return err
-	}
-	return p.writer.Publish(ctx, p.cfg.CheckpointPath, data)
-}
-
-// RestoreCheckpoint loads CheckpointPath, if present, and resumes from it:
-// the balancer continues its RNG stream mid-bin, the window carries over,
-// and the saved model serves immediately (readiness flips true). A missing
-// file is not an error — the pipeline simply starts cold. With a registry
-// configured, the registry's champion (last-good version) takes over the
-// serving slot regardless of checkpoint state, so a warm registry serves
-// even before the first local training round; the drift reference is
-// rebuilt at the next promotion.
-func (p *Pipeline) RestoreCheckpoint() (bool, error) {
-	restored, err := p.restoreCheckpointFile()
-	p.restoreChampionFromRegistry()
-	return restored, err
-}
-
-func (p *Pipeline) restoreCheckpointFile() (bool, error) {
-	if p.cfg.CheckpointPath == "" {
-		return false, nil
-	}
-	data, err := os.ReadFile(p.cfg.CheckpointPath)
-	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	var cp checkpointJSON
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return false, fmt.Errorf("ixpsim: decoding checkpoint: %w", err)
-	}
-	if cp.Version != checkpointVersion {
-		return false, fmt.Errorf("ixpsim: unsupported checkpoint version %d", cp.Version)
-	}
-	p.balMu.Lock()
-	err = p.bal.Restore(cp.Balancer)
-	p.balMu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	p.winMu.Lock()
-	p.window = append(p.window[:0], cp.Window...)
-	p.winMu.Unlock()
-	p.ingested.Store(cp.Ingested)
-	if p.drop != nil && len(cp.DropProgram) > 0 {
-		rules, derr := dropper.Unmarshal(cp.DropProgram)
-		if derr != nil {
-			// A corrupt embedded program degrades to the empty program the
-			// stage already serves; the next round recompiles from fresh
-			// verdicts. Not a restore failure.
-			p.cfg.Log.Error("checkpointed drop program unreadable; starting with none", "err", derr)
-		} else {
-			p.drop.Swap(dropper.Compile(rules))
-		}
-	}
-	if cp.Trained {
-		s, err := core.Load(bytes.NewReader(cp.Bundle))
-		if err != nil {
-			return false, fmt.Errorf("ixpsim: restoring model: %w", err)
-		}
-		if p.cfg.Metrics != nil {
-			s.SetMetrics(core.RegisterMetrics(p.cfg.Metrics))
-		}
-		p.trainer = s
-		// The restored model serves as champion at its checkpointed
-		// sequence; the next trained round continues the count.
-		seq := cp.ModelSeq
-		if seq == 0 {
-			seq = 1 // pre-lifecycle checkpoint
-		}
-		for {
-			cur := p.seq.Load()
-			if seq <= cur || p.seq.CompareAndSwap(cur, seq) {
-				break
-			}
-		}
-		p.lifeMu.Lock()
-		p.champion.Store(&served{s: s, seq: seq})
-		p.lifeMu.Unlock()
-		if p.lm != nil {
-			p.lm.activeSeq.Set(float64(seq))
-		}
-		p.trained.Store(true)
-	}
-	p.cfg.Log.Info("pipeline state restored",
-		"window_records", len(cp.Window), "trained", cp.Trained)
-	return true, nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"sync/atomic"
 )
 
@@ -31,10 +32,10 @@ var (
 
 var fileMagic = [4]byte{'I', 'X', 'F', 'R'}
 
-const (
-	formatVersion  = 1
-	wireRecordSize = 80
-)
+const formatVersion = 1
+
+// RecordSize is the fixed size of one record on the wire.
+const RecordSize = 80
 
 const (
 	flagBlackholed = 1 << 0
@@ -43,7 +44,7 @@ const (
 	flagDstIPv6    = 1 << 3
 )
 
-// marshalRecord encodes r into buf, which must be at least wireRecordSize
+// marshalRecord encodes r into buf, which must be at least RecordSize
 // bytes.
 func marshalRecord(buf []byte, r *Record) {
 	binary.BigEndian.PutUint64(buf[0:8], uint64(r.Timestamp))
@@ -80,6 +81,22 @@ func marshalRecord(buf []byte, r *Record) {
 	binary.BigEndian.PutUint64(buf[72:80], r.Bytes)
 }
 
+// AppendRecord appends the RecordSize-byte wire encoding of r to dst. It is
+// the one record codec: flow files, the diskbuffer WAL and the pipeline
+// checkpoint all store records in this form.
+func AppendRecord(dst []byte, r *Record) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, RecordSize)[:n+RecordSize]
+	marshalRecord(dst[n:], r)
+	return dst
+}
+
+// DecodeRecord decodes the first RecordSize bytes of src into r; src must
+// hold at least that many. Every byte pattern decodes to some record.
+func DecodeRecord(src []byte, r *Record) {
+	unmarshalRecord(src[:RecordSize], r)
+}
+
 func unmarshalRecord(buf []byte, r *Record) {
 	r.Timestamp = int64(binary.BigEndian.Uint64(buf[0:8]))
 	var a16 [16]byte
@@ -106,6 +123,13 @@ func addrFrom16(a [16]byte, isV6 bool) netip.Addr {
 	// otherwise (corrupt or crafted input): the pipeline compares addresses
 	// against unmapped v4 prefixes, so a non-canonical ::ffff:a.b.c.d
 	// leaking out of the reader would silently fail every registry lookup.
+	//
+	// Sixteen zero bytes without the v6 flag are the unset address: As16 of
+	// netip.Addr{} is all zero, and "::" itself always carries the flag, so
+	// decoding them as "::" would turn an unset address into a valid one.
+	if !isV6 && a == [16]byte{} {
+		return netip.Addr{}
+	}
 	addr := netip.AddrFrom16(a)
 	if !isV6 || addr.Is4In6() {
 		return addr.Unmap()
@@ -116,7 +140,7 @@ func addrFrom16(a [16]byte, isV6 bool) netip.Addr {
 // Writer streams flow records to an io.Writer in the binary flow format.
 type Writer struct {
 	w     *bufio.Writer
-	buf   [wireRecordSize]byte
+	buf   [RecordSize]byte
 	count int
 	began bool
 }
@@ -180,7 +204,7 @@ type ReaderStats struct {
 // Reader streams flow records from an io.Reader.
 type Reader struct {
 	r     *bufio.Reader
-	buf   [wireRecordSize]byte
+	buf   [RecordSize]byte
 	bulk  []byte // ReadBatch scratch, allocated on first use
 	began bool
 
@@ -245,16 +269,16 @@ func (r *Reader) ReadBatch(dst []Record) (int, error) {
 		return 0, err
 	}
 	if r.bulk == nil {
-		r.bulk = make([]byte, batchReadRecords*wireRecordSize)
+		r.bulk = make([]byte, batchReadRecords*RecordSize)
 	}
 	want := len(dst)
 	if want > batchReadRecords {
 		want = batchReadRecords
 	}
-	nb, err := io.ReadFull(r.r, r.bulk[:want*wireRecordSize])
-	n := nb / wireRecordSize
+	nb, err := io.ReadFull(r.r, r.bulk[:want*RecordSize])
+	n := nb / RecordSize
 	for i := 0; i < n; i++ {
-		unmarshalRecord(r.bulk[i*wireRecordSize:], &dst[i])
+		unmarshalRecord(r.bulk[i*RecordSize:], &dst[i])
 	}
 	if n > 0 {
 		r.Stats.Records.Add(uint64(n))
@@ -262,7 +286,7 @@ func (r *Reader) ReadBatch(dst []Record) (int, error) {
 	switch {
 	case err == nil:
 		return n, nil
-	case errors.Is(err, io.ErrUnexpectedEOF) && nb%wireRecordSize == 0:
+	case errors.Is(err, io.ErrUnexpectedEOF) && nb%RecordSize == 0:
 		// Clean EOF on a record boundary, reported on this call if no whole
 		// record was read, else on the next.
 		if n == 0 {

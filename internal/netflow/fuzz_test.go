@@ -6,7 +6,8 @@ import (
 	"testing"
 )
 
-// fuzzStream builds a valid three-record flow file for seeding.
+// fuzzStream builds a valid flow file for seeding: both families, a mixed
+// pair, the unset address.
 func fuzzStream(tb testing.TB) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -34,6 +35,23 @@ func fuzzStream(tb testing.TB) []byte {
 			Protocol:  1, Fragment: true,
 			Packets: 512, Bytes: 65536, SamplingRate: 512,
 		},
+		// Mixed family: v6 source, v4 destination (one flag per address).
+		{
+			Timestamp: 1650000180,
+			SrcIP:     netip.MustParseAddr("2001:db8::53"),
+			DstIP:     netip.MustParseAddr("198.51.100.7"),
+			SrcPort:   53, DstPort: 33000, Protocol: 17,
+			Packets: 64, Bytes: 65536, SamplingRate: 64,
+		},
+		// Unset source beside a real "::" destination: all-zero address
+		// bytes mean two different things depending on the family flag.
+		{
+			Timestamp: 1650000240,
+			DstIP:     netip.IPv6Unspecified(),
+			Protocol:  17,
+			Packets:   1, Bytes: 64, SamplingRate: 1,
+		},
+		{},
 	}
 	for i := range recs {
 		if err := w.Write(&recs[i]); err != nil {
@@ -54,7 +72,7 @@ func FuzzReader(f *testing.F) {
 	f.Add(valid)
 	// Truncation corpus: cut inside the header, on a record boundary, and
 	// mid-record.
-	for _, n := range []int{0, 1, 4, 5, 6, 5 + wireRecordSize - 1, 5 + wireRecordSize, 5 + wireRecordSize + 1} {
+	for _, n := range []int{0, 1, 4, 5, 6, 5 + RecordSize - 1, 5 + RecordSize, 5 + RecordSize + 1} {
 		if n <= len(valid) {
 			f.Add(append([]byte(nil), valid[:n]...))
 		}

@@ -35,6 +35,14 @@ func TestCodecRoundTrip(t *testing.T) {
 	r2.Blackholed = false
 	r2.Fragment = true
 	recs = append(recs, r2)
+	// The unset address is not "::": it must come back unset, next to a
+	// real "::" and a mixed-family record, which must come back as they are.
+	r3 := sampleRecord()
+	r3.SrcIP = netip.Addr{}
+	recs = append(recs, r3, Record{})
+	r4 := sampleRecord()
+	r4.SrcIP = netip.IPv6Unspecified()
+	recs = append(recs, r4)
 
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -46,7 +54,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if w.Count() != 2 {
+	if w.Count() != len(recs) {
 		t.Errorf("Count = %d", w.Count())
 	}
 

@@ -11,12 +11,14 @@
 package woe
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -459,14 +461,6 @@ type encoderJSON struct {
 	Overrides map[string]map[string]float64 `json:"overrides,omitempty"`
 }
 
-func countsToJSON(m map[uint64]uint64) map[string]uint64 {
-	out := make(map[string]uint64, len(m))
-	for k, v := range m {
-		out[strconv.FormatUint(k, 10)] = v
-	}
-	return out
-}
-
 func countsFromJSON(m map[string]uint64, dst map[uint64]uint64) error {
 	for ks, v := range m {
 		k, err := strconv.ParseUint(ks, 10, 64)
@@ -478,33 +472,202 @@ func countsFromJSON(m map[string]uint64, dst map[uint64]uint64) error {
 	return nil
 }
 
-// Save writes the encoder state as JSON.
+// Save writes the encoder state as JSON, byte for byte what
+// json.NewEncoder(w).Encode of an encoderJSON produces (object keys in
+// string order, a trailing newline): model bundles embed it, and a bundle's
+// content hash is its registry id. It is written by hand because a bundle
+// is saved inside every checkpointed training round, and reflecting over a
+// string-keyed copy of every count map was most of that save.
 func (e *Encoder) Save(w io.Writer) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := encoderJSON{
-		PosTotal:  e.posTotal,
-		NegTotal:  e.negTotal,
-		Domains:   make(map[string]domainJSON),
-		Overrides: make(map[string]map[string]float64),
-	}
+	keys := 0
+	names := make([]string, 0, len(e.domains))
 	for name, d := range e.domains {
-		out.Domains[name] = domainJSON{Pos: countsToJSON(d.pos), Neg: countsToJSON(d.neg)}
+		names = append(names, name)
+		keys += len(d.pos) + len(d.neg)
 	}
+	sort.Strings(names)
+	b := make([]byte, 0, 256+16*keys) // `"3232235777":12,` — a v4 address and a count
+	b = append(b, `{"pos_total":`...)
+	b = strconv.AppendUint(b, e.posTotal, 10)
+	b = append(b, `,"neg_total":`...)
+	b = strconv.AppendUint(b, e.negTotal, 10)
+	b = append(b, `,"domains":{`...)
+	var sorted []entry[uint64] // scratch shared by every count map
+	for i, name := range names {
+		d := e.domains[name]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, name)
+		b = append(b, `:{"pos":{`...)
+		sorted = sortDecimal(sorted, d.pos)
+		b = appendCounts(b, sorted)
+		b = append(b, `},"neg":{`...)
+		sorted = sortDecimal(sorted, d.neg)
+		b = appendCounts(b, sorted)
+		b = append(b, "}}"...)
+	}
+	b = append(b, '}')
+
+	names = names[:0]
 	for name, ov := range e.overrides {
-		if len(ov) == 0 {
-			continue
+		if len(ov) > 0 {
+			names = append(names, name)
 		}
-		m := make(map[string]float64, len(ov))
-		for k, v := range ov {
-			m[strconv.FormatUint(k, 10)] = v
-		}
-		out.Overrides[name] = m
 	}
-	if err := json.NewEncoder(w).Encode(&out); err != nil {
+	sort.Strings(names)
+	for i, name := range names {
+		if i == 0 {
+			b = append(b, `,"overrides":{`...) // omitempty: only with a pin
+		} else {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, name)
+		b = append(b, ":{"...)
+		for j, pin := range sortDecimal(nil, e.overrides[name]) {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = appendKey(b, pin.key)
+			// Pins are a handful of operator-set floats: let encoding/json
+			// format them (and refuse NaN and Inf) as it always has.
+			f, err := json.Marshal(pin.val)
+			if err != nil {
+				return fmt.Errorf("woe: saving encoder: %w", err)
+			}
+			b = append(b, f...)
+		}
+		b = append(b, '}')
+	}
+	if len(names) > 0 {
+		b = append(b, '}')
+	}
+	b = append(b, "}\n"...)
+	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("woe: saving encoder: %w", err)
 	}
 	return nil
+}
+
+// entry is one map entry on its way into a JSON object.
+type entry[V any] struct {
+	key uint64
+	val V
+}
+
+// sortDecimal returns m's entries in the string order of their keys'
+// decimal forms, the order encoding/json writes object keys in ("10" <
+// "9"), using buf as scratch. Keys with equally many digits order as numbers, so one numeric
+// sort leaves a run per digit count that is already in string order; the
+// runs are then merged on the keys' first 19 digits, left-justified and
+// zero-padded. Equal there means one string is the other plus trailing
+// digits, and the shorter string — the earlier run — goes first.
+func sortDecimal[V any](buf []entry[V], m map[uint64]V) []entry[V] {
+	n := len(m)
+	buf = slices.Grow(buf[:0], 2*n)
+	out, keys := buf[:0], buf[n:n] // merged front half, sorted back half
+	for k, v := range m {
+		keys = append(keys, entry[V]{k, v})
+	}
+	radixSort(keys, buf[:n])
+
+	type run struct {
+		keys []entry[V]
+		pad  uint64 // 10^(19-digits); 0 for the 20-digit run
+		head uint64 // padded first key
+	}
+	padded := func(r *run) {
+		if r.head = r.keys[0].key * r.pad; r.pad == 0 {
+			r.head = r.keys[0].key / 10
+		}
+	}
+	var store [20]run
+	runs := store[:0] // the non-empty ones, fewest digits first
+	for d := 0; d < 20 && len(keys) > 0; d++ {
+		r := run{keys: keys}
+		if d < 19 {
+			cut, _ := slices.BinarySearchFunc(keys, pow10[d+1],
+				func(e entry[V], limit uint64) int { return cmp.Compare(e.key, limit) })
+			r.keys, r.pad = keys[:cut], pow10[18-d]
+		}
+		if keys = keys[len(r.keys):]; len(r.keys) > 0 {
+			padded(&r)
+			runs = append(runs, r)
+		}
+	}
+	for len(out) < n {
+		var first *run
+		for i := range runs {
+			if r := &runs[i]; len(r.keys) > 0 && (first == nil || r.head < first.head) {
+				first = r
+			}
+		}
+		out = append(out, first.keys[0])
+		if first.keys = first.keys[1:]; len(first.keys) > 0 {
+			padded(first)
+		}
+	}
+	return out
+}
+
+// radixSort sorts entries by key, one byte per pass from the least
+// significant up to the highest byte any key uses, scattering between keys
+// and scratch (as long, not overlapping). WoE keys are ports, protocols
+// and v4 addresses: two to four passes, against a comparison sort's
+// sixteen-odd levels.
+func radixSort[V any](keys, scratch []entry[V]) {
+	var used uint64
+	for _, e := range keys {
+		used |= e.key
+	}
+	from, to, inScratch := keys, scratch, false
+	for shift := 0; shift < 64 && used>>shift != 0; shift += 8 {
+		var next [256]int
+		for _, e := range from {
+			next[e.key>>shift&0xff]++
+		}
+		at := 0
+		for b, c := range next {
+			next[b], at = at, at+c
+		}
+		for _, e := range from {
+			b := e.key >> shift & 0xff
+			to[next[b]] = e
+			next[b]++
+		}
+		from, to, inScratch = to, from, !inScratch
+	}
+	if inScratch {
+		copy(keys, scratch)
+	}
+}
+
+var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+func appendCounts(b []byte, counts []entry[uint64]) []byte {
+	for i, c := range counts {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendKey(b, c.key)
+		b = strconv.AppendUint(b, c.val, 10)
+	}
+	return b
+}
+
+func appendKey(b []byte, k uint64) []byte {
+	b = append(b, '"')
+	b = strconv.AppendUint(b, k, 10)
+	return append(b, '"', ':')
+}
+
+// appendJSONString appends s as encoding/json quotes it (HTML-escaped).
+func appendJSONString(b []byte, s string) []byte {
+	q, _ := json.Marshal(s) // a string always marshals
+	return append(b, q...)
 }
 
 // Load reads an encoder saved with Save. The result carries full counts, so

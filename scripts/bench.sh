@@ -13,8 +13,8 @@
 #
 # Usage: scripts/bench.sh [-benchtime 1x] [-count 1] [-only pr1,pr6] [-summary]
 #
-# -only runs a subset of the per-PR sections (pr1 pr2 pr3 pr5 pr6 pr7 pr8
-# pr9 pr10, comma-separated); the default runs all of them. CI uses
+# -only runs a subset of the per-PR sections (pr1 pr2 pr3 pr4 pr5 pr6 pr7
+# pr8 pr9 pr10, comma-separated); the default runs all of them. CI uses
 # "-only pr6,pr7,pr8 -benchtime 1x" as a smoke test that the benchmarks
 # still compile and run, without paying for stable numbers.
 #
@@ -29,7 +29,7 @@ cd "$(dirname "$0")/.."
 
 benchtime=1x
 count=1
-only=pr1,pr2,pr3,pr5,pr6,pr7,pr8,pr9,pr10
+only=pr1,pr2,pr3,pr4,pr5,pr6,pr7,pr8,pr9,pr10
 summary=0
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -155,13 +155,51 @@ END {
 echo "wrote BENCH_PR3.json ($(nproc) cores)"
 fi
 
+# Pipeline checkpoint (the figure PR 4 never took): one SaveCheckpoint and
+# one RestoreCheckpoint of what the retrain-cycle workload persists every
+# round — a ~35k-record window plus the default model fitted on it — with
+# the file size. Min-of-N like the other sections.
+tmp4=$(mktemp)
+trap 'rm -f "$tmp" "$tmp2" "$tmp3" "$tmp4"' EXIT
+
+if want pr4; then
+go test -run '^$' -bench 'BenchmarkSaveCheckpoint|BenchmarkRestoreCheckpoint' \
+    -benchmem -benchtime "$benchtime" -count "$count" ./internal/ixpsim | tee "$tmp4"
+
+awk -v cores="$(nproc)" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
+$1 ~ /^Benchmark/ {
+    sub(/-[0-9]+$/, "", $1)   # strip the -GOMAXPROCS suffix
+    # $2 is the iteration count; value/unit pairs start at $3.
+    for (i = 3; i < NF; i += 2) {
+        u = $(i + 1); v = $i + 0
+        if (!(($1, u) in m) || v < m[$1, u]) m[$1, u] = v
+    }
+}
+function op(label, n, last) {
+    printf("  \"%s\": {\"ns_per_op\": %g, \"bytes_per_op\": %g, \"allocs_per_op\": %g}%s\n",
+        label, m[n, "ns/op"], m[n, "B/op"], m[n, "allocs/op"], last ? "" : ",")
+}
+END {
+    s = "BenchmarkSaveCheckpoint"
+    printf "{\n  \"date\": \"%s\",\n  \"cores\": %d,\n", date, cores
+    printf "  \"note\": \"min of N runs; one op = one checkpoint of a trained pipeline (window + fitted default model + drop program) written to, or restored from, a temp dir\",\n"
+    printf "  \"window_records\": %g,\n", m[s, "window-records"]
+    printf "  \"file_bytes\": %g,\n", m[s, "file-bytes"]
+    op("save", s, 0)
+    op("restore", "BenchmarkRestoreCheckpoint", 1)
+    print "}"
+}' "$tmp4" > BENCH_PR4.json
+
+echo "wrote BENCH_PR4.json ($(nproc) cores)"
+fi
+
 # Model lifecycle (PR 5): hot-swap latency (promoteLocked under the
 # lifecycle lock), per-round scoring with and without a shadow challenger
 # (the acceptance bound is shadow < 2x champion-only), the PSI drift-stat
 # update, and the registry publish path. Records BENCH_PR5.json with the
 # shadow overhead ratio computed from min-of-5, like the PR2/PR3 sections.
 tmp5=$(mktemp)
-trap 'rm -f "$tmp" "$tmp2" "$tmp3" "$tmp5"' EXIT
+trap 'rm -f "$tmp" "$tmp2" "$tmp3" "$tmp4" "$tmp5"' EXIT
 
 if want pr5; then
 go test -run '^$' -bench 'BenchmarkHotSwap|BenchmarkScoringChampionOnly|BenchmarkScoringWithShadow|BenchmarkPSIUpdate' \
@@ -202,7 +240,7 @@ fi
 # unit-tagged fields instead of positions because -benchmem and ReportMetric
 # ordering differ between the two benchmarks.
 tmp6=$(mktemp)
-trap 'rm -f "$tmp" "$tmp2" "$tmp3" "$tmp5" "$tmp6"' EXIT
+trap 'rm -f "$tmp" "$tmp2" "$tmp3" "$tmp4" "$tmp5" "$tmp6"' EXIT
 
 if want pr6; then
 go test -run '^$' -bench 'BenchmarkAggCardinality' -benchmem \
@@ -264,7 +302,7 @@ fi
 # traffic — the benign-traffic common case): the acceptance bound is >= 10.
 # Min-of-N like the other sections.
 tmp7=$(mktemp)
-trap 'rm -f "$tmp" "$tmp2" "$tmp3" "$tmp5" "$tmp6" "$tmp7"' EXIT
+trap 'rm -f "$tmp" "$tmp2" "$tmp3" "$tmp4" "$tmp5" "$tmp6" "$tmp7"' EXIT
 
 if want pr7; then
 go test -run '^$' -bench 'BenchmarkMatch|BenchmarkCompile|BenchmarkStageSwap|BenchmarkStageEmitBatch' \
@@ -316,7 +354,7 @@ fi
 # shadow scoring rides the buffer-reuse serving path. Min-of-N like the
 # other sections.
 tmp8=$(mktemp)
-trap 'rm -f "$tmp" "$tmp2" "$tmp3" "$tmp5" "$tmp6" "$tmp7" "$tmp8"' EXIT
+trap 'rm -f "$tmp" "$tmp2" "$tmp3" "$tmp4" "$tmp5" "$tmp6" "$tmp7" "$tmp8"' EXIT
 
 if want pr8; then
 go test -run '^$' -bench 'BenchmarkFitReference|BenchmarkFitFast|BenchmarkBatchPredict' \
@@ -367,7 +405,7 @@ fi
 # round and destinations re-bind encoders with a shallow copy, so
 # candidate scoring must stay marginal. Min-of-N like the other sections.
 tmp9=$(mktemp)
-trap 'rm -f "$tmp" "$tmp2" "$tmp3" "$tmp5" "$tmp6" "$tmp7" "$tmp8" "$tmp9"' EXIT
+trap 'rm -f "$tmp" "$tmp2" "$tmp3" "$tmp4" "$tmp5" "$tmp6" "$tmp7" "$tmp8" "$tmp9"' EXIT
 
 if want pr9; then
 go test -run '^$' -bench 'BenchmarkClusterIngest|BenchmarkGossipRound|BenchmarkIncumbentScore|BenchmarkElectionScore' \
@@ -412,7 +450,7 @@ fi
 # PR2 section: the gate is a ratio of two close numbers and short benchtimes
 # are pure noise.
 tmp10=$(mktemp)
-trap 'rm -f "$tmp" "$tmp2" "$tmp3" "$tmp5" "$tmp6" "$tmp7" "$tmp8" "$tmp9" "$tmp10"' EXIT
+trap 'rm -f "$tmp" "$tmp2" "$tmp3" "$tmp4" "$tmp5" "$tmp6" "$tmp7" "$tmp8" "$tmp9" "$tmp10"' EXIT
 
 if want pr10; then
 go test -run '^$' -bench 'BenchmarkHandoffHardwired|BenchmarkHandoffSegment' \
