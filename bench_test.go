@@ -157,9 +157,7 @@ func BenchmarkAblationEncoding(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				enc := woe.NewEncoder()
 				enc.MinCount = 4
-				for j := range trainRecords {
-					features.ObserveRecord(enc, &trainRecords[j])
-				}
+				features.ObserveRecords(enc, trainRecords)
 				enc.Fit()
 				xtr, ytr := encode(enc, trainAggs, mode.identity)
 				xte, yte := encode(enc, testAggs, mode.identity)
@@ -183,9 +181,7 @@ func BenchmarkAblationXGBSplit(b *testing.B) {
 	trainRecords, trainAggs, testAggs := benchData(b)
 	enc := woe.NewEncoder()
 	enc.MinCount = 4
-	for j := range trainRecords {
-		features.ObserveRecord(enc, &trainRecords[j])
-	}
+	features.ObserveRecords(enc, trainRecords)
 	enc.Fit()
 	mk := func(aggs []*features.Aggregate) ([][]float64, []int) {
 		x := make([][]float64, len(aggs))

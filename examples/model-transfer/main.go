@@ -55,9 +55,7 @@ func main() {
 	// (the local knowledge of Fig. 12, middle).
 	localEnc := woe.NewEncoder()
 	localEnc.MinCount = 4
-	for i := range dstRecords {
-		features.ObserveRecord(localEnc, &dstRecords[i])
-	}
+	features.ObserveRecords(localEnc, dstRecords)
 	localEnc.Fit()
 	ipOverlap := woe.Overlap(scrubber.Encoder(), localEnc, "src_ip", 1.0)
 	portOverlap := woe.Overlap(scrubber.Encoder(), localEnc, "port_src", 1.0)

@@ -188,9 +188,7 @@ func TestClassifierOnlyTransfer(t *testing.T) {
 	// Fit the local encoder on the destination's own balanced records.
 	local := woe.NewEncoder()
 	local.MinCount = 4
-	for i := range encRecords {
-		features.ObserveRecord(local, &encRecords[i])
-	}
+	features.ObserveRecords(local, encRecords)
 	local.Fit()
 	transferred := s.WithEncoder(local)
 	loc, err := transferred.Evaluate(aggs2)

@@ -269,9 +269,7 @@ func (s *Scrubber) Fit(trainRecords []netflow.Record, train []*features.Aggregat
 	enc := woe.NewEncoder()
 	enc.Smoothing = s.cfg.WoESmoothing
 	enc.MinCount = s.cfg.WoEMinCount
-	for i := range trainRecords {
-		features.ObserveRecord(enc, &trainRecords[i])
-	}
+	features.ObserveRecords(enc, trainRecords)
 	enc.Fit()
 
 	p, err := s.buildPipeline()

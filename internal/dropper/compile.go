@@ -29,15 +29,6 @@ import (
 // rule compatible with this protocol accepts dst port q") rejects the
 // common miss in two loads.
 
-// portValueTable memoizes tagging.PortValue for every port so compiles
-// don't pay 65536 map probes per dimension.
-var portValueTable = func() (t [65536]uint32) {
-	for p := 0; p <= 65535; p++ {
-		t[p] = tagging.PortValue(uint16(p))
-	}
-	return
-}()
-
 // portBits is the 8 KB per-protocol destination-port prefilter bitmap.
 type portBits [1024]uint64
 
@@ -403,7 +394,7 @@ func buildPortDim(b *setBuilder, rules []Rule, table *[65536]int32, cond func(*R
 		classIdx[v] = b.intern(scratch)
 	}
 	for port := 0; port < 65536; port++ {
-		if ci, ok := classIdx[portValueTable[port]]; ok {
+		if ci, ok := classIdx[tagging.PortValue(uint16(port))]; ok {
 			table[port] = ci
 		} else {
 			table[port] = wildIdx

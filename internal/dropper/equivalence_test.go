@@ -2,6 +2,7 @@ package dropper_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -254,10 +255,9 @@ func TestCompileACLEquivalence(t *testing.T) {
 		// random non-empty item subsets, so every antecedent is a
 		// satisfiable conjunction like the miner produces.
 		var taggingRules []tagging.Rule
-		var scratch []tagging.Item
 		for i := 0; i < 12; i++ {
 			rec := randomRecord(rng)
-			items, _ := tagging.Itemize(&rec, scratch)
+			items := tagging.ClassOf(&rec).Items(nil)
 			keep := items[:0:0]
 			for _, it := range items {
 				if rng.Intn(3) > 0 {
@@ -300,6 +300,31 @@ func TestCompileACLEquivalence(t *testing.T) {
 			if wantIdx >= 0 && prog.Action(wantIdx) != wantAct {
 				t.Fatalf("seed %d record %d: action %q != %q", seed, k, prog.Action(wantIdx), wantAct)
 			}
+		}
+	}
+}
+
+// TestOversizeMeanPacketSize: a mean packet size beyond uint32 (crafted
+// IPFIX octet/packet counts, a replayed netflow file) lands in the open top
+// bin 15 on both paths, never wrapped into a small-packet bin.
+func TestOversizeMeanPacketSize(t *testing.T) {
+	var rules []dropper.Rule
+	for _, bin := range []uint32{0, 1, 15} {
+		rules = append(rules, dropper.Rule{ID: fmt.Sprintf("bin%d", bin), Action: acl.ActionDrop,
+			SizeBin: bin, SizeBinSet: true})
+	}
+	prog := dropper.Compile(rules)
+	interp := dropper.NewInterpreter(rules)
+	for _, c := range []struct{ bytes, packets uint64 }{
+		{1<<32 - 1, 1}, {1<<32 + 100, 1}, {1 << 33, 1}, {math.MaxUint64, 1},
+	} {
+		rec := netflow.Record{Protocol: 17, Bytes: c.bytes, Packets: c.packets}
+		want := interp.Match(&rec)
+		if got := prog.Match(&rec); got != want {
+			t.Errorf("mean %d B: compiled=%d interpreter=%d", c.bytes/c.packets, got, want)
+		}
+		if want != 2 {
+			t.Errorf("mean %d B matched rule %d, want the bin-15 rule", c.bytes/c.packets, want)
 		}
 	}
 }

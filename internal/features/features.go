@@ -598,18 +598,22 @@ func (g *group) finish() *Aggregate {
 	return agg
 }
 
-// ObserveRecord feeds one balanced flow record's categorical values into
-// the WoE encoder under the record's blackhole label. WoE statistics are
-// fitted at the flow level (§5.2.2 maps values to their weight of evidence
-// of "appearing in the blackhole"), not per aggregate: per-aggregate
-// observation would flatten low-cardinality domains — both TCP and UDP
-// appear in nearly every aggregate, so their per-aggregate WoE collapses to
-// noise around zero, while their flow-level WoE carries the strong
-// UDP-means-attack signal that transfers between vantage points.
-func ObserveRecord(enc *woe.Encoder, rec *netflow.Record) {
-	for c := 0; c < NumCats; c++ {
-		enc.Observe(CatNames[c], catKey(c, rec), rec.Blackholed)
-	}
+// ObserveRecords feeds balanced flow records' categorical values into the
+// WoE encoder under each record's blackhole label, in one encoder batch.
+// WoE statistics are fitted at the flow level (§5.2.2 maps values to their
+// weight of evidence of "appearing in the blackhole"), not per aggregate:
+// per-aggregate observation would flatten low-cardinality domains — both
+// TCP and UDP appear in nearly every aggregate, so their per-aggregate WoE
+// collapses to noise around zero, while their flow-level WoE carries the
+// strong UDP-means-attack signal that transfers between vantage points.
+func ObserveRecords(enc *woe.Encoder, recs []netflow.Record) {
+	enc.ObserveBatch(CatNames[:], func(t *woe.Tally) {
+		for i := range recs {
+			for c := 0; c < NumCats; c++ {
+				t.Observe(c, catKey(c, &recs[i]), recs[i].Blackholed)
+			}
+		}
+	})
 }
 
 // Encode converts an aggregate into its 150-column feature row: categorical

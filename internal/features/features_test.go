@@ -1,6 +1,7 @@
 package features
 
 import (
+	"bytes"
 	"math"
 	"net/netip"
 	"testing"
@@ -156,7 +157,7 @@ func TestEncodeShapeAndMissing(t *testing.T) {
 	a.Add(&r1, "")
 	a.Close()
 	enc := woe.NewEncoder()
-	ObserveRecord(enc, &r1)
+	ObserveRecords(enc, []netflow.Record{r1})
 	row := Encode(enc, aggs[0], nil)
 	if len(row) != NumColumns {
 		t.Fatalf("row len = %d", len(row))
@@ -180,8 +181,7 @@ func TestObserveEncodesLabelSignal(t *testing.T) {
 	for min := int64(1); min <= 40; min++ {
 		r1 := flow(min, "192.0.2.1", 123, "198.51.100.7", 4096, 2, true)
 		r2 := flow(min, "192.0.2.9", 443, "203.0.113.5", 2048, 2, false)
-		ObserveRecord(enc, &r1)
-		ObserveRecord(enc, &r2)
+		ObserveRecords(enc, []netflow.Record{r1, r2})
 	}
 	attacker := enc.WoE("src_ip", woe.KeyAddr(netip.MustParseAddr("192.0.2.1")))
 	benign := enc.WoE("src_ip", woe.KeyAddr(netip.MustParseAddr("192.0.2.9")))
@@ -194,6 +194,59 @@ func TestObserveEncodesLabelSignal(t *testing.T) {
 	port123 := enc.WoE("port_src", woe.KeyPort(123))
 	if port123 <= 0 {
 		t.Errorf("NTP port WoE = %v", port123)
+	}
+}
+
+// observeRecordOracle is the per-record WoE observation ObserveRecords
+// replaced: one Encoder.Observe call per categorical per record.
+func observeRecordOracle(enc *woe.Encoder, rec *netflow.Record) {
+	for c := 0; c < NumCats; c++ {
+		enc.Observe(CatNames[c], catKey(c, rec), rec.Blackholed)
+	}
+}
+
+// TestObserveRecordsMatchesPerRecord: the batch observation leaves the
+// encoder with the same counts, totals and saved bytes as the per-record
+// loop — on a real balanced window, on batches split at arbitrary points,
+// and on an empty batch, which must not create the domains.
+func TestObserveRecordsMatchesPerRecord(t *testing.T) {
+	g := synth.NewGenerator(synth.ProfileUS2())
+	balanced, _ := balance.Flows(3, g.Generate(0, 90))
+	recs := synth.Records(balanced)
+	if len(recs) < 1000 {
+		t.Fatalf("only %d records", len(recs))
+	}
+	state := func(enc *woe.Encoder) (string, uint64) {
+		var b bytes.Buffer
+		if err := enc.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String(), enc.Fingerprint()
+	}
+	for _, split := range [][]int{{}, {0}, {len(recs)}, {1, 17, len(recs) / 2}} {
+		want := woe.NewEncoder()
+		for i := range recs {
+			observeRecordOracle(want, &recs[i])
+		}
+		got := woe.NewEncoder()
+		from := 0
+		for _, to := range append(split, len(recs)) {
+			ObserveRecords(got, recs[from:to])
+			from = to
+		}
+		wantBytes, wantFP := state(want)
+		gotBytes, gotFP := state(got)
+		if gotBytes != wantBytes || gotFP != wantFP {
+			t.Fatalf("split %v: batch encoder differs from the per-record loop (fingerprint %x vs %x)", split, gotFP, wantFP)
+		}
+		if want.WoE("src_ip", woe.KeyAddr(recs[0].SrcIP)) != got.WoE("src_ip", woe.KeyAddr(recs[0].SrcIP)) {
+			t.Fatalf("split %v: fitted WoE differs", split)
+		}
+	}
+	empty := woe.NewEncoder()
+	ObserveRecords(empty, nil)
+	if gotBytes, _ := state(empty); gotBytes != `{"pos_total":0,"neg_total":0,"domains":{}}`+"\n" || len(empty.Domains()) != 0 {
+		t.Fatalf("empty batch changed the encoder: %s", gotBytes)
 	}
 }
 
@@ -215,9 +268,7 @@ func TestEndToEndSyntheticSeparability(t *testing.T) {
 		t.Fatalf("aggregates = %d", len(aggs))
 	}
 	enc := woe.NewEncoder()
-	for i := range balanced {
-		ObserveRecord(enc, &balanced[i].Record)
-	}
+	ObserveRecords(enc, synth.Records(balanced))
 	correct := 0
 	for _, ag := range aggs {
 		row := Encode(enc, ag, nil)
@@ -262,9 +313,7 @@ func BenchmarkEncode(b *testing.B) {
 	}
 	a.Close()
 	enc := woe.NewEncoder()
-	for j := range flows {
-		ObserveRecord(enc, &flows[j].Record)
-	}
+	ObserveRecords(enc, synth.Records(flows))
 	var row []float64
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -6,25 +6,23 @@ import (
 	"testing"
 
 	"github.com/ixp-scrubber/ixpscrubber/internal/balance"
+	"github.com/ixp-scrubber/ixpscrubber/internal/netflow"
 	"github.com/ixp-scrubber/ixpscrubber/internal/synth"
 )
 
-// minedTxs itemizes a seeded synthetic traffic window for mining tests.
-func minedTxs(seed uint64) []Transaction {
+// minedRecords is a seeded, balanced synthetic traffic window.
+func minedRecords(seed uint64) []netflow.Record {
 	p := synth.ProfileUS1()
 	p.Seed = seed
 	g := synth.NewGenerator(p)
 	flows := g.Generate(0, 240)
 	balanced, _ := balance.Flows(seed, flows)
-	records := synth.Records(balanced)
-	txs := make([]Transaction, len(records))
-	var buf []Item
-	for i := range records {
-		items, bh := Itemize(&records[i], buf)
-		txs[i] = Transaction{Items: append([]Item(nil), items...), Blackholed: bh}
-	}
-	return txs
+	return synth.Records(balanced)
 }
+
+// minedTxs itemizes a seeded window the way Mine does: weighted, one
+// transaction per distinct (Class, label).
+func minedTxs(seed uint64) []Transaction { return weightedTransactions(minedRecords(seed)) }
 
 // TestMineFrequentWorkersIdentical proves the per-header-item fan-out of
 // FP-Growth emits the exact itemset sequence of the serial DFS: same sets,

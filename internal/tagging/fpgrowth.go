@@ -64,18 +64,22 @@ func (t *fpTree) insert(items []Item, count, bhCount int) {
 	}
 }
 
-// Transaction pairs an itemization with its label.
+// Transaction pairs an itemization with its label, weighted: it stands for
+// Count identical records.
 type Transaction struct {
 	Items      []Item
 	Blackholed bool
+	Count      int
 }
 
-// MineFrequent runs FP-Growth over the transactions and returns every
-// itemset whose support count is at least minCount, with blackhole
-// co-occurrence counts. Identical transactions should be pre-aggregated by
-// the caller for speed (see AggregateTransactions); they are also handled
-// correctly if not. The worker pool is sized from GOMAXPROCS; use
-// MineFrequentWorkers to pin it.
+// MineFrequent runs FP-Growth over the weighted transactions and returns
+// every itemset whose support count — the summed Count of the transactions
+// containing it — is at least minCount, with blackhole co-occurrence
+// counts. Itemsets, counts and emission order depend only on the multiset
+// of records the transactions stand for, so callers pre-aggregate
+// identical records into one weighted transaction (Mine does, per Class and
+// label); repeated transactions are handled correctly too. The worker pool
+// is sized from GOMAXPROCS; use MineFrequentWorkers to pin it.
 func MineFrequent(txs []Transaction, minCount int) []Itemset {
 	return MineFrequentWorkers(txs, minCount, 0)
 }
@@ -94,7 +98,7 @@ func MineFrequentWorkers(txs []Transaction, minCount, workers int) []Itemset {
 	freq := make(map[Item]int)
 	for i := range txs {
 		for _, it := range txs[i].Items {
-			freq[it]++
+			freq[it] += txs[i].Count
 		}
 	}
 	tree := buildTree(txs, freq, minCount)
@@ -140,9 +144,8 @@ func buildTree(txs []Transaction, freq map[Item]int, minCount int) *fpTree {
 		t.index[t.headers[i].item] = i
 	}
 	// Deduplicate identical (filtered, ordered) transactions so each
-	// distinct path is inserted once with its multiplicity — flow header
-	// combinations repeat massively, so this collapses the input by orders
-	// of magnitude.
+	// distinct path is inserted once with its summed weight: transactions
+	// that differ only in infrequent items or in their label share a path.
 	type weight struct{ count, bhCount int }
 	dedup := make(map[string]*weight)
 	order := make([]string, 0, 1024)
@@ -170,9 +173,9 @@ func buildTree(txs []Transaction, freq map[Item]int, minCount int) *fpTree {
 			order = append(order, k)
 			itemsOf[k] = append([]Item(nil), buf...)
 		}
-		w.count++
+		w.count += txs[i].Count
 		if txs[i].Blackholed {
-			w.bhCount++
+			w.bhCount += txs[i].Count
 		}
 	}
 	for _, k := range order {

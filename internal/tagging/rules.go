@@ -96,19 +96,56 @@ type MiningReport struct {
 // consequent, and minimize with Algorithm 1. Returned rules are in staging
 // and sorted by descending support.
 func Mine(records []netflow.Record, opts MineOptions) ([]Rule, MiningReport) {
-	txs := make([]Transaction, len(records))
-	var buf []Item
-	for i := range records {
-		items, bh := Itemize(&records[i], buf)
-		txs[i] = Transaction{Items: append([]Item(nil), items...), Blackholed: bh}
-	}
-	return MineTransactions(txs, opts)
+	return MineTransactions(weightedTransactions(records), opts)
 }
 
-// MineTransactions is Mine for pre-itemized transactions.
+// weightedTransactions itemizes records as one transaction per distinct
+// (Class, label) pair, in first-seen order, weighted by its record count.
+// FP-Growth's itemsets, counts and emission order depend only on the
+// multiset of transactions, so mining these is mining one transaction per
+// record — at the cost of the few thousand distinct header classes a window
+// holds rather than its tens of thousands of records.
+func weightedTransactions(records []netflow.Record) []Transaction {
+	var (
+		txs     []Transaction
+		classes []Class
+		index   = make(map[uint64]int)
+	)
+	for i := range records {
+		r := &records[i]
+		c := ClassOf(r)
+		key := uint64(c) << 1
+		if r.Blackholed {
+			key |= 1
+		}
+		j, ok := index[key]
+		if !ok {
+			j = len(txs)
+			index[key] = j
+			txs = append(txs, Transaction{Blackholed: r.Blackholed})
+			classes = append(classes, c)
+		}
+		txs[j].Count++
+	}
+	// One backing array for every transaction's items: a class has at most
+	// four, so it never reallocates under the sub-slices.
+	items := make([]Item, 0, 4*len(txs))
+	for j, c := range classes {
+		start := len(items)
+		items = c.Items(items)
+		txs[j].Items = items[start:len(items):len(items)]
+	}
+	return txs
+}
+
+// MineTransactions is Mine for pre-itemized, weighted transactions.
+// Transactions and supports count records: the sum of the weights.
 func MineTransactions(txs []Transaction, opts MineOptions) ([]Rule, MiningReport) {
-	rep := MiningReport{Transactions: len(txs)}
-	if len(txs) == 0 {
+	var rep MiningReport
+	for i := range txs {
+		rep.Transactions += txs[i].Count
+	}
+	if rep.Transactions == 0 {
 		return nil, rep
 	}
 	itemsets := MineFrequentWorkers(txs, opts.MinSupportCount, opts.Workers)
@@ -127,7 +164,7 @@ func MineTransactions(txs []Transaction, opts MineOptions) ([]Rule, MiningReport
 		bySig[sig(itemsets[i].Items)] = &itemsets[i]
 	}
 
-	n := float64(len(txs))
+	n := float64(rep.Transactions)
 	var rules []Rule
 	for i := range itemsets {
 		s := &itemsets[i]

@@ -2,6 +2,7 @@ package tagging
 
 import (
 	"bytes"
+	"math"
 	"net/netip"
 	"sort"
 	"strings"
@@ -25,10 +26,7 @@ func ntpRecord(bh bool) netflow.Record {
 
 func TestItemize(t *testing.T) {
 	r := ntpRecord(true)
-	items, bh := Itemize(&r, nil)
-	if !bh {
-		t.Error("label lost")
-	}
+	items := ClassOf(&r).Items(nil)
 	want := map[Item]bool{
 		NewItem(FieldProtocol, 17):       true,
 		NewItem(FieldSrcPort, 123):       true,
@@ -52,7 +50,7 @@ func TestItemizeFragment(t *testing.T) {
 	r := ntpRecord(true)
 	r.Fragment = true
 	r.SrcPort, r.DstPort = 0, 0
-	items, _ := Itemize(&r, nil)
+	items := ClassOf(&r).Items(nil)
 	hasFrag, hasPort := false, false
 	for _, it := range items {
 		if it.Field() == FieldFragment {
@@ -87,8 +85,27 @@ func TestSizeBins(t *testing.T) {
 		bin  uint32
 	}{{0, 0}, {99, 0}, {100, 1}, {468, 4}, {1499, 14}, {1514, 15}, {9999, 15}, {-5, 0}}
 	for _, c := range cases {
-		if got := sizeBin(c.size); got != c.bin {
-			t.Errorf("sizeBin(%v) = %d, want %d", c.size, got, c.bin)
+		if got := SizeBin(c.size); got != c.bin {
+			t.Errorf("SizeBin(%v) = %d, want %d", c.size, got, c.bin)
+		}
+	}
+	// Means beyond uint32 clamp into the open top bin; a plain conversion
+	// wraps 2^32+100 into bin 1 and 2^33 and MaxUint64 into bin 0.
+	for _, c := range []struct {
+		bytes, packets uint64
+		value          uint32
+	}{
+		{1<<32 - 1, 1, math.MaxUint32},
+		{1<<32 + 100, 1, math.MaxUint32},
+		{1 << 33, 1, math.MaxUint32},
+		{math.MaxUint64, 1, math.MaxUint32},
+	} {
+		r := netflow.Record{Bytes: c.bytes, Packets: c.packets}
+		if got := SizeValue(r.MeanPacketSize()); got != c.value {
+			t.Errorf("SizeValue(%d/%d) = %d, want %d", c.bytes, c.packets, got, c.value)
+		}
+		if got := SizeBin(r.MeanPacketSize()); got != 15 {
+			t.Errorf("SizeBin(%d/%d) = %d, want 15", c.bytes, c.packets, got)
 		}
 	}
 	if SizeBinLabel(4) != "(400,500]" {
@@ -102,11 +119,11 @@ func TestSizeBins(t *testing.T) {
 func TestMineFrequentSmall(t *testing.T) {
 	a, b, c := NewItem(FieldProtocol, 17), NewItem(FieldSrcPort, 123), NewItem(FieldSize, 4)
 	txs := []Transaction{
-		{Items: []Item{a, b, c}, Blackholed: true},
-		{Items: []Item{a, b, c}, Blackholed: true},
-		{Items: []Item{a, b}, Blackholed: true},
-		{Items: []Item{a, c}, Blackholed: false},
-		{Items: []Item{a}, Blackholed: false},
+		{Items: []Item{a, b, c}, Blackholed: true, Count: 1},
+		{Items: []Item{a, b, c}, Blackholed: true, Count: 1},
+		{Items: []Item{a, b}, Blackholed: true, Count: 1},
+		{Items: []Item{a, c}, Blackholed: false, Count: 1},
+		{Items: []Item{a}, Blackholed: false, Count: 1},
 	}
 	sets := MineFrequent(txs, 2)
 	bySig := map[string]Itemset{}
@@ -164,7 +181,7 @@ func TestMineFrequentAgainstBruteForce(t *testing.T) {
 				items = append(items, it)
 			}
 			bh := i < len(labels) && labels[i]
-			txs[i] = Transaction{Items: sortedCopy(items), Blackholed: bh}
+			txs[i] = Transaction{Items: sortedCopy(items), Blackholed: bh, Count: 1}
 		}
 		minCount := 1 + int(seed%3)
 		got := MineFrequent(txs, minCount)

@@ -103,7 +103,13 @@ func (e *Encoder) domain(name string) *domain {
 func (e *Encoder) Observe(domainName string, key uint64, label bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	d := e.domain(domainName)
+	e.count(e.domain(domainName), key, label)
+	e.dirty = true
+	e.snap.Store(nil) // stale: readers fall back to the locked path
+}
+
+// count adds one observation to d; the caller holds mu.
+func (e *Encoder) count(d *domain, key uint64, label bool) {
 	if label {
 		d.pos[key]++
 		e.posTotal++
@@ -111,8 +117,42 @@ func (e *Encoder) Observe(domainName string, key uint64, label bool) {
 		d.neg[key]++
 		e.negTotal++
 	}
-	e.dirty = true
-	e.snap.Store(nil) // stale: readers fall back to the locked path
+}
+
+// ObserveBatch counts a batch of observations under one acquisition of the
+// encoder lock: fill receives a Tally over the named domains and calls
+// Observe on it once per observation. The counts, totals and saved bytes
+// are those of the same Encoder.Observe calls made one by one. fill runs
+// under the lock, so it must not call the encoder's own methods.
+func (e *Encoder) ObserveBatch(domains []string, fill func(*Tally)) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	t := Tally{e: e, names: domains, ds: make([]*domain, len(domains))}
+	fill(&t)
+	if t.n > 0 {
+		e.dirty = true
+		e.snap.Store(nil)
+	}
+}
+
+// Tally counts observations into an encoder for the duration of one
+// ObserveBatch call; it must not be kept past it.
+type Tally struct {
+	e     *Encoder
+	names []string
+	ds    []*domain // resolved on first use, like Observe's lazy creation
+	n     int
+}
+
+// Observe counts one occurrence of key in the d-th domain of the batch.
+func (t *Tally) Observe(d int, key uint64, label bool) {
+	dom := t.ds[d]
+	if dom == nil {
+		dom = t.e.domain(t.names[d])
+		t.ds[d] = dom
+	}
+	t.e.count(dom, key, label)
+	t.n++
 }
 
 // Fit recomputes the WoE mapping from the accumulated counts.
