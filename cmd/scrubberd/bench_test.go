@@ -80,8 +80,8 @@ func benchIngest(b *testing.B, metrics bool) {
 	bal := balance.ForRecords(0xBEEF, func(netflow.Record) {})
 	var handled int
 	collector := &sflow.Collector{
-		Label: registry.Covered,
-		Emit:  func(r *netflow.Record) { bal.Add(*r) },
+		Label:     registry.Covered,
+		EmitBatch: bal.AddBatch,
 		// Advance one synthetic minute every ~40 datagrams so the balancer
 		// flushes bins at a realistic cadence instead of buffering the
 		// whole run in one bin.

@@ -170,26 +170,15 @@ func (s *Scrubber) SetRules(set *tagging.RuleSet) {
 // aggregates annotated with the scrubber's accepted rules. vectors may be
 // nil; when given it must align with records (ground truth for per-vector
 // scoring). With cfg.Sketch set the bounded-memory sketch path is used; with
-// more than one worker available, ingest runs through the per-core sharded
-// parallel path. Both switches preserve emission order, and the parallel
-// path is bit-identical to serial.
+// more than one worker, each minute's records are ingested shard-parallel.
+// Output is identical at every worker count.
 func (s *Scrubber) Aggregate(records []netflow.Record, vectors []string) []*features.Aggregate {
-	var out []*features.Aggregate
-	agg := features.NewAggregatorSketch(s.tagger, features.DefaultShards(), s.cfg.Sketch,
-		func(a *features.Aggregate) { out = append(out, a) })
-	agg.Workers = s.cfg.Workers
-	if s.metrics != nil {
-		agg.Metrics = s.metrics.featureMetrics()
-	}
-	if par.Workers(s.cfg.Workers) > 1 {
-		p := features.NewParallelAggregator(agg)
-		p.AddBatch(records, vectors)
-		p.Close()
-		return out
-	}
-	agg.AddBatch(records, vectors)
-	agg.Close()
-	return out
+	return features.AggregateRecords(records, vectors, features.Options{
+		Tagger:  s.tagger,
+		Sketch:  s.cfg.Sketch,
+		Workers: s.cfg.Workers,
+		Metrics: s.metrics.featureMetrics(),
+	})
 }
 
 // buildPipeline constructs the Figure 8 preprocessing pipeline for the

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"fmt"
 	"math"
 	"net/netip"
 	"reflect"
@@ -15,9 +16,9 @@ import (
 
 // This file preserves the pre-sharding aggregator — one flat target map per
 // minute, full sort.Slice ranking per (categorical, metric) — as the
-// reference implementation. The equivalence tests lock the sharded
-// streaming top-K path to it bit-for-bit; the benchmarks feed the old-vs-new
-// flush numbers of BENCH_PR3.json.
+// reference implementation. The equivalence tests lock the sharded top-K
+// path to it bit-for-bit; the benchmarks feed the old-vs-new flush numbers
+// of BENCH_PR3.json.
 
 type refGroup struct {
 	minute int64
@@ -219,72 +220,256 @@ func runAggregator(add func(*netflow.Record, string), close func(), recs []netfl
 	close()
 }
 
-// TestAggregatorEquivalence locks the sharded streaming aggregator to the
-// reference implementation: identical Aggregate records (keys, metrics,
-// presence masks, ordering, rules, vectors) at shard counts 1, 4 and 16,
-// with and without a tagger, at several worker counts.
-func TestAggregatorEquivalence(t *testing.T) {
-	recs, vecs := equivalenceFlows(t, 30)
+// stream is the per-record streaming ingest the batch entry point replaced:
+// each record goes straight to its shard in input order, a minute advance
+// flushes, and a record earlier than the current minute is dropped. It
+// drives the same shard and flush code as aggregate, so it is the serial
+// oracle for the minute-run split and the shard-parallel ingest.
+type stream struct {
+	a   *aggregator
+	cur int64
+}
+
+func newStream(opt Options, shards int) *stream {
+	return &stream{a: newAggregator(opt, shards), cur: math.MinInt64}
+}
+
+func (s *stream) add(rec *netflow.Record, vector string) {
+	m := rec.Minute()
+	if m < s.cur {
+		return
+	}
+	if m > s.cur {
+		s.a.flush()
+		s.cur = m
+	}
+	s.a.shards[s.a.shardIndex(rec.DstIP)].add(s.a.opt.Tagger, rec, vector, m)
+}
+
+func (s *stream) close() []*Aggregate {
+	s.a.flush()
+	return s.a.out
+}
+
+func streamAggregate(recs []netflow.Record, vecs []string, opt Options, shards int) []*Aggregate {
+	s := newStream(opt, shards)
+	runAggregator(s.add, func() {}, recs, vecs)
+	return s.close()
+}
+
+// spliceLate inserts records that must be dropped mid-stream: one from
+// before the window, and one from the minute before the record it follows.
+func spliceLate(recs []netflow.Record, vecs []string) ([]netflow.Record, []string) {
+	mid := len(recs) / 2
+	for mid < len(recs) && recs[mid].Minute() == recs[mid-1].Minute() {
+		mid++ // land just after a minute boundary
+	}
+	early, prev := recs[0], recs[mid-1]
+	early.Timestamp = 0
+	prev.Timestamp = (recs[mid].Minute() - 1) * 60
+	out := append(append(append([]netflow.Record{}, recs[:mid+1]...), early, prev), recs[mid+1:]...)
+	outV := append(append(append([]string{}, vecs[:mid+1]...), "late", "late"), vecs[mid+1:]...)
+	return out, outV
+}
+
+func sameAggregates(t *testing.T, what string, got, want []*Aggregate) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d aggregates, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("%s: aggregate %d differs:\n got: %+v\nwant: %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestAggregateRecordsEquivalence is the wall for the batch entry point: at
+// every shard and worker count, in exact and sketch mode, with and without a
+// tagger, and with late records spliced mid-stream, aggregate is
+// bit-identical to the per-record streaming oracle — and in exact mode both
+// match the pre-sharding reference implementation.
+func TestAggregateRecordsEquivalence(t *testing.T) {
+	recs, vecs := spliceLate(equivalenceFlows(t, 25))
 	rules := []tagging.Rule{
 		{ID: "udp", Antecedent: []tagging.Item{tagging.NewItem(tagging.FieldProtocol, 17)}},
 		{ID: "http", Antecedent: []tagging.Item{tagging.NewItem(tagging.FieldDstPort, 80)}},
 	}
 	for _, withTagger := range []bool{false, true} {
-		var tagger *tagging.Tagger
-		if withTagger {
-			tagger = tagging.NewTagger(rules)
-		}
-		var want []*Aggregate
-		ref := newRefAggregator(tagger, func(a *Aggregate) { want = append(want, a) })
-		runAggregator(ref.Add, ref.Close, recs, vecs)
-		if len(want) == 0 {
-			t.Fatal("reference produced no aggregates")
-		}
-		for _, shards := range []int{1, 4, 16} {
-			for _, workers := range []int{1, 4} {
-				var got []*Aggregate
-				a := NewAggregatorShards(tagger, shards, func(ag *Aggregate) { got = append(got, ag) })
-				a.Workers = workers
-				runAggregator(a.Add, a.Close, recs, vecs)
-				if len(got) != len(want) {
-					t.Fatalf("tagger=%v shards=%d workers=%d: %d aggregates, reference %d",
-						withTagger, shards, workers, len(got), len(want))
-				}
-				for i := range want {
-					if !reflect.DeepEqual(got[i], want[i]) {
-						t.Fatalf("tagger=%v shards=%d workers=%d: aggregate %d differs:\n got: %+v\nwant: %+v",
-							withTagger, shards, workers, i, got[i], want[i])
+		t.Run(fmt.Sprintf("tagger=%v", withTagger), func(t *testing.T) {
+			var tagger *tagging.Tagger
+			if withTagger {
+				tagger = tagging.NewTagger(rules)
+			}
+			var want []*Aggregate
+			ref := newRefAggregator(tagger, func(a *Aggregate) { want = append(want, a) })
+			runAggregator(ref.Add, ref.Close, recs, vecs)
+			if len(want) == 0 {
+				t.Fatal("reference produced no aggregates")
+			}
+			for _, mode := range []string{"exact", "sketch"} {
+				t.Run(mode, func(t *testing.T) {
+					var cfg *SketchConfig
+					if mode == "sketch" {
+						cfg = &SketchConfig{Budget: 0.05, MaxGroups: 128}
 					}
+					for _, shards := range []int{1, 2, 4, 16} {
+						opt := Options{Tagger: tagger, Sketch: cfg, Workers: 1}
+						serial := streamAggregate(recs, vecs, opt, shards)
+						if mode == "exact" {
+							sameAggregates(t, fmt.Sprintf("shards=%d: stream vs reference", shards), serial, want)
+						}
+						for _, workers := range []int{1, 2, 8} {
+							opt.Workers = workers
+							sameAggregates(t, fmt.Sprintf("shards=%d workers=%d: batch vs stream", shards, workers),
+								aggregate(recs, vecs, opt, shards), serial)
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestAggregateRecordsConservesFlows checks the batch entry point without an
+// oracle: a long window pushed through few shards at several worker counts
+// must count every in-order record exactly once, drop every late one, and
+// emit one aggregate per <minute, target> in strictly ascending order.
+func TestAggregateRecordsConservesFlows(t *testing.T) {
+	const targets, perTarget, minutes = 40, 25, 12
+	var recs []netflow.Record
+	late := 0
+	for m := int64(1); m <= minutes; m++ {
+		for i := 0; i < targets*perTarget; i++ {
+			recs = append(recs, netflow.Record{
+				Timestamp: m*60 + int64(i%60),
+				SrcIP:     netip.AddrFrom4([4]byte{192, 0, 2, byte(i)}),
+				DstIP:     netip.AddrFrom4([4]byte{10, 0, 0, byte(i % targets)}),
+				SrcPort:   uint16(1024 + i),
+				DstPort:   80,
+				Protocol:  6,
+				Packets:   3,
+				Bytes:     1500,
+			})
+			if m > 1 && i%97 == 0 {
+				// A straggler from the previous minute, mid-run.
+				r := recs[len(recs)-1]
+				r.Timestamp -= 60
+				recs = append(recs, r)
+				late++
+			}
+		}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for _, shards := range []int{1, 2} {
+			got := aggregate(recs, nil, Options{Workers: workers}, shards)
+			if len(got) != targets*minutes {
+				t.Fatalf("workers=%d shards=%d: %d aggregates, want %d", workers, shards, len(got), targets*minutes)
+			}
+			flows := 0
+			for i, a := range got {
+				flows += a.Flows
+				if a.Flows != perTarget {
+					t.Fatalf("workers=%d shards=%d: %v minute %d aggregated %d flows, want %d",
+						workers, shards, a.Target, a.Minute, a.Flows, perTarget)
+				}
+				if i > 0 {
+					prev := got[i-1]
+					if a.Minute < prev.Minute || (a.Minute == prev.Minute && a.Target.Compare(prev.Target) <= 0) {
+						t.Fatalf("workers=%d shards=%d: aggregate %d (%d, %v) not after (%d, %v)",
+							workers, shards, i, a.Minute, a.Target, prev.Minute, prev.Target)
+					}
+				}
+			}
+			if want := len(recs) - late; flows != want {
+				t.Fatalf("workers=%d shards=%d: %d flows aggregated, want %d of %d (%d late)",
+					workers, shards, flows, want, len(recs), late)
+			}
+		}
+	}
+}
+
+// TestAggregateRecordsEmptyWindow: an empty window yields no aggregates and
+// runs no flush, so the aggregation gauges keep their last value.
+func TestAggregateRecordsEmptyWindow(t *testing.T) {
+	calls := 0
+	gauge := func(float64) { calls++ }
+	metrics := &Metrics{ResidentGroups: gauge, SketchBytes: gauge, EstimateRelError: gauge}
+	for _, sk := range []*SketchConfig{nil, {Budget: 0.05, MaxGroups: 64}} {
+		for _, workers := range []int{1, 8} {
+			opt := Options{Sketch: sk, Workers: workers, Metrics: metrics}
+			for _, recs := range [][]netflow.Record{nil, {}} {
+				if got := AggregateRecords(recs, nil, opt); len(got) != 0 {
+					t.Errorf("sketch=%v workers=%d: %d aggregates from an empty window", sk != nil, workers, len(got))
+				}
+			}
+		}
+	}
+	if calls != 0 {
+		t.Errorf("an empty window reported %d gauge values, want none", calls)
+	}
+}
+
+// TestAggregateRecordsMetricsPerMinute: every minute of the window flushes
+// once and reports its resident group count; the sketch gauges read 0 on
+// the exact path and carry the sketch footprint in sketch mode.
+func TestAggregateRecordsMetricsPerMinute(t *testing.T) {
+	recs, vecs := equivalenceFlows(t, 6)
+	perMinute := map[int64]int{}
+	var minutes []int64
+	for _, a := range AggregateRecords(recs, vecs, Options{Workers: 1}) {
+		if perMinute[a.Minute] == 0 {
+			minutes = append(minutes, a.Minute)
+		}
+		perMinute[a.Minute]++
+	}
+	for _, sk := range []*SketchConfig{nil, generousSketch()} {
+		for _, workers := range []int{1, 8} {
+			var resident, bytes, relErr []float64
+			AggregateRecords(recs, vecs, Options{Sketch: sk, Workers: workers, Metrics: &Metrics{
+				ResidentGroups:   func(v float64) { resident = append(resident, v) },
+				SketchBytes:      func(v float64) { bytes = append(bytes, v) },
+				EstimateRelError: func(v float64) { relErr = append(relErr, v) },
+			}})
+			what := fmt.Sprintf("sketch=%v workers=%d", sk != nil, workers)
+			if len(resident) != len(minutes) || len(bytes) != len(minutes) || len(relErr) != len(minutes) {
+				t.Fatalf("%s: %d/%d/%d gauge reports for %d minutes", what, len(resident), len(bytes), len(relErr), len(minutes))
+			}
+			for i, m := range minutes {
+				if int(resident[i]) != perMinute[m] {
+					t.Errorf("%s: minute %d reported %v resident groups, emitted %d", what, m, resident[i], perMinute[m])
+				}
+				if sk == nil && (bytes[i] != 0 || relErr[i] != 0) {
+					t.Errorf("%s: minute %d reported sketch bytes %v, rel error %v on the exact path", what, m, bytes[i], relErr[i])
+				}
+				if sk != nil && bytes[i] <= 0 {
+					t.Errorf("%s: minute %d reported sketch bytes %v", what, m, bytes[i])
 				}
 			}
 		}
 	}
 }
 
-// TestAggregatorEquivalenceBatch: the AddBatch path must match record-wise
-// Add exactly, including late-record drops at batch boundaries.
-func TestAggregatorEquivalenceBatch(t *testing.T) {
-	recs, vecs := equivalenceFlows(t, 20)
-	// Splice a late record mid-stream to exercise the drop path.
-	late := recs[0]
-	late.Timestamp = 0
-	recs = append(recs[:len(recs):len(recs)], late)
-	vecs = append(vecs[:len(vecs):len(vecs)], "")
-
-	var want []*Aggregate
-	one := NewAggregatorShards(nil, 4, func(a *Aggregate) { want = append(want, a) })
-	runAggregator(one.Add, one.Close, recs, vecs)
-
-	for _, batch := range []int{1, 7, 256} {
-		var got []*Aggregate
-		a := NewAggregatorShards(nil, 4, func(ag *Aggregate) { got = append(got, ag) })
-		for lo := 0; lo < len(recs); lo += batch {
-			hi := min(lo+batch, len(recs))
-			a.AddBatch(recs[lo:hi], vecs[lo:hi])
+// TestAggregateRecordsLeavesInputUntouched: aggregation is a function of the
+// window — it neither writes to the records nor the vectors it is handed,
+// and the same window always yields the same aggregates.
+func TestAggregateRecordsLeavesInputUntouched(t *testing.T) {
+	recs, vecs := spliceLate(equivalenceFlows(t, 8))
+	origRecs := append([]netflow.Record{}, recs...)
+	origVecs := append([]string{}, vecs...)
+	tagger := tagging.NewTagger([]tagging.Rule{
+		{ID: "udp", Antecedent: []tagging.Item{tagging.NewItem(tagging.FieldProtocol, 17)}},
+	})
+	for _, sk := range []*SketchConfig{nil, {Budget: 0.05, MaxGroups: 128}} {
+		opt := Options{Tagger: tagger, Sketch: sk, Workers: 8}
+		first := AggregateRecords(recs, vecs, opt)
+		second := AggregateRecords(recs, vecs, opt)
+		sameAggregates(t, fmt.Sprintf("sketch=%v: second call vs first", sk != nil), second, first)
+		if !reflect.DeepEqual(recs, origRecs) {
+			t.Fatalf("sketch=%v: records modified by aggregation", sk != nil)
 		}
-		a.Close()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("batch=%d: AddBatch output differs from Add", batch)
+		if !reflect.DeepEqual(vecs, origVecs) {
+			t.Fatalf("sketch=%v: vectors modified by aggregation", sk != nil)
 		}
 	}
 }
@@ -293,18 +478,16 @@ func TestAggregatorEquivalenceBatch(t *testing.T) {
 // minute N+1) must never leak state between minutes or targets.
 func TestAggregatorGroupRecycling(t *testing.T) {
 	recs, vecs := equivalenceFlows(t, 8)
-	var twice []*Aggregate
-	a := NewAggregatorShards(nil, 4, func(ag *Aggregate) { twice = append(twice, ag) })
-	runAggregator(a.Add, func() {}, recs, vecs)
-	// Re-feed the same stream shifted by an hour: every group is built on
-	// recycled maps. Output must mirror the first pass except for Minute.
+	// Append the same stream shifted by an hour: every group of the second
+	// pass is built on recycled maps. Output must mirror the first pass
+	// except for Minute.
 	shift := int64(3600)
-	shifted := make([]netflow.Record, len(recs))
-	for i, r := range recs {
+	both := append([]netflow.Record{}, recs...)
+	for _, r := range recs {
 		r.Timestamp += shift
-		shifted[i] = r
+		both = append(both, r)
 	}
-	runAggregator(func(r *netflow.Record, v string) { a.Add(r, v) }, a.Close, shifted, vecs)
+	twice := aggregate(both, append(append([]string{}, vecs...), vecs...), Options{Workers: 1}, 4)
 	if len(twice)%2 != 0 {
 		t.Fatalf("aggregate count %d not even across identical passes", len(twice))
 	}
@@ -319,22 +502,22 @@ func TestAggregatorGroupRecycling(t *testing.T) {
 }
 
 // TestAggregateAddAllocs gates the per-record aggregation cost: once a
-// minute's groups and maps are warm, Add must stay within budget. Budget 1:
-// netip.Addr map keys hash through an interface on some paths and group
-// promotion may grow a bucket; anything above that means a regression to
-// per-record scratch allocation.
+// minute's groups and maps are warm, the shard add must stay within budget.
+// Budget 1: netip.Addr map keys hash through an interface on some paths and
+// group promotion may grow a bucket; anything above that means a regression
+// to per-record scratch allocation.
 func TestAggregateAddAllocs(t *testing.T) {
 	recs, vecs := equivalenceFlows(t, 6)
-	a := NewAggregatorShards(nil, 4, nil)
-	runAggregator(a.Add, func() {}, recs, vecs) // warm groups and free list
+	s := newStream(Options{}, 4)
+	runAggregator(s.add, func() {}, recs, vecs) // warm groups and free list
 	r := recs[len(recs)/2]
 	r.Timestamp += 3600 // new minute: groups recycle from the free list
-	a.Add(&r, "")
+	s.add(&r, "")
 	avg := testing.AllocsPerRun(200, func() {
-		a.Add(&r, "")
+		s.add(&r, "")
 	})
 	if avg > 1 {
-		t.Errorf("aggregator Add allocates %.1f objects/record, budget 1", avg)
+		t.Errorf("shard add allocates %.1f objects/record, budget 1", avg)
 	}
 }
 
@@ -342,11 +525,7 @@ func benchFlushFlows(b *testing.B) []netflow.Record {
 	b.Helper()
 	g := synth.NewGenerator(synth.ProfileUS1())
 	balanced, _ := balance.Flows(23, g.Generate(0, 20))
-	recs := make([]netflow.Record, len(balanced))
-	for i := range balanced {
-		recs[i] = balanced[i].Record
-	}
-	return recs
+	return synth.Records(balanced)
 }
 
 // BenchmarkFlushSharded vs BenchmarkFlushReference: the aggregation flush
@@ -356,9 +535,7 @@ func BenchmarkFlushSharded(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := NewAggregator(nil, nil)
-		a.AddBatch(recs, nil)
-		a.Close()
+		AggregateRecords(recs, nil, Options{})
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"math"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
 
 	"github.com/ixp-scrubber/ixpscrubber/internal/netflow"
@@ -155,38 +156,39 @@ func (g *group) reset(minute int64, target netip.Addr) {
 	clear(g.vec)
 }
 
-// Aggregator groups a minute-ordered flow stream. Call Add per flow (or
-// AddBatch per batch), then Close at the end; minutes flush automatically
-// when the stream's minute advances.
-//
-// Internally the per-minute state is split into dst-IP-hash shards, each
-// holding its own target map. Sharding keeps the per-map cardinality
-// bounded as target counts grow and lets the minute flush rank shards'
-// groups in parallel; the merged emission order (targets ascending) is
-// identical at every shard and worker count.
-type Aggregator struct {
+// Options configures AggregateRecords. The zero value aggregates exactly,
+// without rule annotation, with workers sized from GOMAXPROCS.
+type Options struct {
 	// Tagger, when set, annotates matching rule IDs onto aggregates.
 	Tagger *tagging.Tagger
-	// Emit receives completed aggregates.
-	Emit func(*Aggregate)
-	// Workers bounds the flush fan-out: 0 sizes from GOMAXPROCS, 1 forces
-	// the serial path. Output is identical at every value.
+	// Sketch enables the bounded-memory sketch mode; nil aggregates exactly.
+	Sketch *SketchConfig
+	// Workers bounds the ingest and ranking fan-out: 0 sizes from
+	// GOMAXPROCS, 1 forces the serial path. Output is identical at every
+	// value.
 	Workers int
 	// Metrics, when set, receives aggregation gauges at every minute flush.
 	Metrics *Metrics
+}
 
-	cur    int64
+// aggregator holds one window's per-minute state, split into dst-IP-hash
+// shards that each own their target map. Sharding keeps the per-map
+// cardinality bounded as target counts grow and lets ingest and the minute
+// flush run shards in parallel; the emission order is minutes ascending,
+// then targets ascending.
+type aggregator struct {
+	opt    Options
 	shards []shardState
 	mask   uint64
-	finish []*Aggregate // flush scratch, reused across minutes
-	errW   []float64    // per-group rel-error scratch: summed error bounds
-	errT   []float64    // per-group rel-error scratch: summed totals
+	out    []*Aggregate
+	errW   []float64 // per-group rel-error scratch: summed error bounds
+	errT   []float64 // per-group rel-error scratch: summed totals
 }
 
 // shardState is the per-shard half of the aggregator: either an exact target
 // map or a bounded sketch table, plus the shard-owned scratch (free list,
-// tagger hit buffer) that lets shards run on independent goroutines in the
-// parallel ingest path without sharing mutable state.
+// tagger hit buffer) that lets shards run on independent goroutines without
+// sharing mutable state.
 type shardState struct {
 	groups map[netip.Addr]*group // exact mode
 	sk     *sketchShard          // sketch mode (nil when exact)
@@ -224,60 +226,104 @@ func (m *Metrics) observeFlush(resident, sketchBytes, relErr float64) {
 	}
 }
 
-// DefaultShards ties the shard count to the worker parallelism actually
-// available: the largest power of two not exceeding GOMAXPROCS, clamped to
-// [1, 16]. Shards beyond core count buy no flush or ingest parallelism (a
-// 1-core box gets exactly 1 shard), and beyond 16 the per-shard maps are too
+// maxShards caps the shard count: beyond 16 the per-shard maps are too
 // sparse to matter at realistic per-minute target counts.
-func DefaultShards() int { return shardsFor(runtime.GOMAXPROCS(0)) }
+const maxShards = 16
 
-// shardsFor is DefaultShards for an explicit parallelism level.
+// defaultShards ties the shard count to the worker parallelism actually
+// available: the largest power of two not exceeding GOMAXPROCS, clamped to
+// [1, maxShards]. Shards beyond core count buy no ingest or flush
+// parallelism (a 1-core box gets exactly 1 shard).
+func defaultShards() int { return shardsFor(runtime.GOMAXPROCS(0)) }
+
+// shardsFor is defaultShards for an explicit parallelism level.
 func shardsFor(procs int) int {
-	if procs > 16 {
-		procs = 16
-	}
 	s := 1
-	for s*2 <= procs {
+	for s*2 <= min(procs, maxShards) {
 		s <<= 1
 	}
 	return s
 }
 
-// NewAggregator returns an Aggregator emitting into emit, sharded per
-// DefaultShards.
-func NewAggregator(tagger *tagging.Tagger, emit func(*Aggregate)) *Aggregator {
-	return NewAggregatorShards(tagger, DefaultShards(), emit)
+// AggregateRecords groups a window of flow records into per-<minute, target>
+// aggregates, returned minute by minute with targets ascending. Records must
+// be in non-decreasing minute order: one whose minute is earlier than a
+// record before it is dropped. vectors may be nil; when given it must align
+// with recs (ground-truth attack vectors, experiments only).
+func AggregateRecords(recs []netflow.Record, vectors []string, opt Options) []*Aggregate {
+	return aggregate(recs, vectors, opt, defaultShards())
 }
 
-// NewAggregatorShards returns an exact-mode Aggregator with an explicit
-// shard count (rounded up to a power of two). Aggregate output is
-// bit-for-bit identical at every shard count; the knob trades memory
-// locality against flush parallelism.
-func NewAggregatorShards(tagger *tagging.Tagger, shards int, emit func(*Aggregate)) *Aggregator {
-	return NewAggregatorSketch(tagger, shards, nil, emit)
-}
+// lateRecord marks a dropped record in aggregate's routing table.
+const lateRecord = 0xff
 
-// NewAggregatorSketch returns an Aggregator with an explicit shard count and,
-// when cfg is non-nil, the bounded-memory sketch mode enabled: steady-state
-// heap is O(shards × K × sketch width) regardless of how many distinct
-// targets appear per minute, at the cost of the error budget declared by cfg.
-func NewAggregatorSketch(tagger *tagging.Tagger, shards int, cfg *SketchConfig, emit func(*Aggregate)) *Aggregator {
-	if shards < 1 {
-		shards = 1
+// aggregate is AggregateRecords at an explicit shard count (rounded up to a
+// power of two, at most maxShards). Output is bit-for-bit identical at every
+// shard count in exact mode; in sketch mode the shard count splits the
+// resident-group bound, so it is part of the configuration.
+func aggregate(recs []netflow.Record, vectors []string, opt Options, shards int) []*Aggregate {
+	a := newAggregator(opt, shards)
+	// One sequential pass splits the window into minute runs and routes
+	// every record to its shard.
+	route := make([]uint8, len(recs))
+	var runs []int // start index of each minute run, then len(recs)
+	cur := int64(math.MinInt64)
+	for i := range recs {
+		m := recs[i].Minute()
+		if m < cur {
+			route[i] = lateRecord
+			continue
+		}
+		if m > cur {
+			runs = append(runs, i)
+			cur = m
+		}
+		route[i] = uint8(a.shardIndex(recs[i].DstIP))
 	}
+	runs = append(runs, len(recs))
+
+	serial := par.Workers(opt.Workers) == 1
+	for r := 0; r+1 < len(runs); r++ {
+		lo, hi, m := runs[r], runs[r+1], recs[runs[r]].Minute()
+		if serial {
+			for i := lo; i < hi; i++ {
+				if s := route[i]; s != lateRecord {
+					a.shards[s].add(opt.Tagger, &recs[i], vectorAt(vectors, i), m)
+				}
+			}
+		} else {
+			// Each shard takes its own records in input order — the same
+			// per-shard sequence the serial loop feeds it, and shards share
+			// no mutable state, so the output is identical.
+			par.For(opt.Workers, len(a.shards), func(s int) {
+				sh := &a.shards[s]
+				for i := lo; i < hi; i++ {
+					if route[i] == uint8(s) {
+						sh.add(opt.Tagger, &recs[i], vectorAt(vectors, i), m)
+					}
+				}
+			})
+		}
+		a.flush()
+	}
+	return a.out
+}
+
+func vectorAt(vectors []string, i int) string {
+	if vectors == nil {
+		return ""
+	}
+	return vectors[i]
+}
+
+func newAggregator(opt Options, shards int) *aggregator {
 	n := 1
-	for n < shards {
+	for n < min(shards, maxShards) {
 		n <<= 1
 	}
-	a := &Aggregator{
-		Tagger: tagger,
-		Emit:   emit,
-		cur:    math.MinInt64,
-		shards: make([]shardState, n),
-		mask:   uint64(n - 1),
-	}
-	if cfg != nil {
-		rc := cfg.resolve()
+	a := &aggregator{opt: opt, shards: make([]shardState, n), mask: uint64(n - 1)}
+	if opt.Sketch != nil {
+		rc := opt.Sketch.resolve()
 		for i := range a.shards {
 			a.shards[i].sk = newSketchShard(rc, n)
 		}
@@ -289,18 +335,9 @@ func NewAggregatorSketch(tagger *tagging.Tagger, shards int, cfg *SketchConfig, 
 	return a
 }
 
-// Sketch reports the resolved sketch configuration, or nil in exact mode.
-func (a *Aggregator) Sketch() *SketchConfig {
-	if a.shards[0].sk == nil {
-		return nil
-	}
-	cfg := a.shards[0].sk.cfg
-	return &cfg
-}
-
 // shardIndex hashes a target address onto a shard (FNV-1a over the 16-byte
 // form — deterministic across processes, unlike Go's seeded map hash).
-func (a *Aggregator) shardIndex(addr netip.Addr) uint64 {
+func (a *aggregator) shardIndex(addr netip.Addr) uint64 {
 	if a.mask == 0 {
 		return 0
 	}
@@ -312,47 +349,8 @@ func (a *Aggregator) shardIndex(addr netip.Addr) uint64 {
 	return h & a.mask
 }
 
-// Add feeds one flow with its (optional) ground-truth vector name. Flows
-// must arrive in non-decreasing minute order; earlier flows are dropped.
-func (a *Aggregator) Add(rec *netflow.Record, vector string) {
-	m := rec.Minute()
-	if m < a.cur {
-		return
-	}
-	if m > a.cur {
-		a.flushMinute()
-		a.cur = m
-	}
-	a.add(rec, vector, m)
-}
-
-// AddBatch feeds a batch of flows; vectors may be nil or must align with
-// recs. One batch call amortizes the minute check and tagger dispatch that
-// Add pays per record.
-func (a *Aggregator) AddBatch(recs []netflow.Record, vectors []string) {
-	for i := range recs {
-		m := recs[i].Minute()
-		if m < a.cur {
-			continue
-		}
-		if m > a.cur {
-			a.flushMinute()
-			a.cur = m
-		}
-		v := ""
-		if vectors != nil {
-			v = vectors[i]
-		}
-		a.add(&recs[i], v, m)
-	}
-}
-
-func (a *Aggregator) add(rec *netflow.Record, vector string, m int64) {
-	a.shards[a.shardIndex(rec.DstIP)].add(a.Tagger, rec, vector, m)
-}
-
 // add feeds one flow into this shard. It touches only shard-owned state, so
-// the parallel ingest path can run it on a dedicated goroutine per shard.
+// shards can ingest on independent goroutines.
 func (s *shardState) add(tagger *tagging.Tagger, rec *netflow.Record, vector string, m int64) {
 	if s.sk != nil {
 		g := s.sk.add(rec, m)
@@ -416,10 +414,9 @@ func (s *shardState) add(tagger *tagging.Tagger, rec *netflow.Record, vector str
 	}
 }
 
-// Close flushes the final minute.
-func (a *Aggregator) Close() { a.flushMinute() }
-
-func (a *Aggregator) flushMinute() {
+// flush ranks the current minute's groups onto the output and recycles
+// them for the next minute.
+func (a *aggregator) flush() {
 	if a.shards[0].sk != nil {
 		a.flushSketch()
 		return
@@ -427,10 +424,6 @@ func (a *Aggregator) flushMinute() {
 	total := 0
 	for i := range a.shards {
 		total += len(a.shards[i].groups)
-	}
-	if total == 0 {
-		a.Metrics.observeFlush(0, 0, 0)
-		return
 	}
 	// Deterministic emission order across shards: gather every group and
 	// sort by target, exactly like the unsharded implementation did.
@@ -444,32 +437,36 @@ func (a *Aggregator) flushMinute() {
 	sort.Slice(groups, func(i, j int) bool {
 		return groups[i].target.Compare(groups[j].target) < 0
 	})
-
-	if cap(a.finish) < total {
-		a.finish = make([]*Aggregate, total)
-	}
-	out := a.finish[:total]
-	workers := par.Workers(a.Workers)
-	if total < 16 {
-		workers = 1 // fan-out costs more than ranking a handful of groups
-	}
+	out := a.grow(total)
 	// Ranking one group touches only that group; results land in the
 	// slot matching the sorted order, so output is independent of both
 	// worker count and shard count.
-	par.ForChunks(workers, total, func(_, lo, hi int) {
+	par.ForChunks(a.rankWorkers(total), total, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = groups[i].finish()
 		}
 	})
-	for i, agg := range out {
-		if a.Emit != nil {
-			a.Emit(agg)
-		}
-		out[i] = nil
-		s := &a.shards[a.shardIndex(groups[i].target)]
-		s.free = append(s.free, groups[i])
+	for _, g := range groups {
+		s := &a.shards[a.shardIndex(g.target)]
+		s.free = append(s.free, g)
 	}
-	a.Metrics.observeFlush(float64(total), 0, 0)
+	a.opt.Metrics.observeFlush(float64(total), 0, 0)
+}
+
+// grow extends the output by n slots and returns them.
+func (a *aggregator) grow(n int) []*Aggregate {
+	l := len(a.out)
+	a.out = slices.Grow(a.out, n)[:l+n]
+	return a.out[l:]
+}
+
+// rankWorkers is the flush fan-out for n groups: fan-out costs more than
+// ranking a handful of groups.
+func (a *aggregator) rankWorkers(n int) int {
+	if n < 16 {
+		return 1
+	}
+	return par.Workers(a.opt.Workers)
 }
 
 // topEntry is one candidate in a (categorical, metric) ranking.

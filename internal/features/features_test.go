@@ -15,21 +15,17 @@ import (
 
 func flow(min int64, src string, srcPort uint16, dst string, bytes, pkts uint64, bh bool) netflow.Record {
 	return netflow.Record{
-		Timestamp: min * 60,
-		SrcIP:     netip.MustParseAddr(src),
-		DstIP:     netip.MustParseAddr(dst),
-		SrcPort:   srcPort,
-		DstPort:   44000,
-		Protocol:  17,
-		SrcMAC:    [6]byte{2, 0, 0, 0, 0, 1},
-		Packets:   pkts,
-		Bytes:     bytes,
+		Timestamp:  min * 60,
+		SrcIP:      netip.MustParseAddr(src),
+		DstIP:      netip.MustParseAddr(dst),
+		SrcPort:    srcPort,
+		DstPort:    44000,
+		Protocol:   17,
+		SrcMAC:     [6]byte{2, 0, 0, 0, 0, 1},
+		Packets:    pkts,
+		Bytes:      bytes,
 		Blackholed: bh,
 	}
-}
-
-func collect(aggs *[]*Aggregate) func(*Aggregate) {
-	return func(a *Aggregate) { *aggs = append(*aggs, a) }
 }
 
 func TestColumnGeometry(t *testing.T) {
@@ -50,21 +46,13 @@ func TestColumnGeometry(t *testing.T) {
 }
 
 func TestAggregatorGroupsByMinuteAndTarget(t *testing.T) {
-	var aggs []*Aggregate
-	a := NewAggregator(nil, collect(&aggs))
-	// Minute 1: two targets.
-	a.Add(&netflow.Record{}, "") // zero record: invalid addr still groups; keep simple with real ones below
-	aggs = aggs[:0]
-
-	a = NewAggregator(nil, collect(&aggs))
-	r1 := flow(1, "192.0.2.1", 123, "198.51.100.7", 4096, 2, true)
-	r2 := flow(1, "192.0.2.2", 123, "198.51.100.7", 2048, 1, false)
-	r3 := flow(1, "192.0.2.1", 53, "203.0.113.5", 1024, 1, false)
-	r4 := flow(2, "192.0.2.1", 123, "198.51.100.7", 4096, 2, false)
-	for _, r := range []*netflow.Record{&r1, &r2, &r3, &r4} {
-		a.Add(r, "")
-	}
-	a.Close()
+	// Minute 1: two targets; minute 2: one.
+	aggs := AggregateRecords([]netflow.Record{
+		flow(1, "192.0.2.1", 123, "198.51.100.7", 4096, 2, true),
+		flow(1, "192.0.2.2", 123, "198.51.100.7", 2048, 1, false),
+		flow(1, "192.0.2.1", 53, "203.0.113.5", 1024, 1, false),
+		flow(2, "192.0.2.1", 123, "198.51.100.7", 4096, 2, false),
+	}, nil, Options{})
 	if len(aggs) != 3 {
 		t.Fatalf("aggregates = %d, want 3", len(aggs))
 	}
@@ -105,13 +93,10 @@ func TestAggregatorGroupsByMinuteAndTarget(t *testing.T) {
 }
 
 func TestAggregatorLateFlowsDropped(t *testing.T) {
-	var aggs []*Aggregate
-	a := NewAggregator(nil, collect(&aggs))
-	r1 := flow(5, "192.0.2.1", 123, "198.51.100.7", 1024, 1, false)
-	r0 := flow(4, "192.0.2.9", 99, "198.51.100.8", 1024, 1, false)
-	a.Add(&r1, "")
-	a.Add(&r0, "") // late: dropped
-	a.Close()
+	aggs := AggregateRecords([]netflow.Record{
+		flow(5, "192.0.2.1", 123, "198.51.100.7", 1024, 1, false),
+		flow(4, "192.0.2.9", 99, "198.51.100.8", 1024, 1, false), // late: dropped
+	}, nil, Options{})
 	if len(aggs) != 1 {
 		t.Fatalf("aggregates = %d", len(aggs))
 	}
@@ -126,13 +111,10 @@ func TestRuleAnnotation(t *testing.T) {
 		},
 	}
 	tg := tagging.NewTagger([]tagging.Rule{rule})
-	var aggs []*Aggregate
-	a := NewAggregator(tg, collect(&aggs))
-	r1 := flow(1, "192.0.2.1", 123, "198.51.100.7", 4096, 2, true)
-	r2 := flow(1, "192.0.2.1", 8080, "203.0.113.5", 4096, 2, false)
-	a.Add(&r1, "NTP")
-	a.Add(&r2, "")
-	a.Close()
+	aggs := AggregateRecords([]netflow.Record{
+		flow(1, "192.0.2.1", 123, "198.51.100.7", 4096, 2, true),
+		flow(1, "192.0.2.1", 8080, "203.0.113.5", 4096, 2, false),
+	}, []string{"NTP", ""}, Options{Tagger: tg})
 	if len(aggs) != 2 {
 		t.Fatal("aggregates")
 	}
@@ -151,11 +133,8 @@ func TestRuleAnnotation(t *testing.T) {
 }
 
 func TestEncodeShapeAndMissing(t *testing.T) {
-	var aggs []*Aggregate
-	a := NewAggregator(nil, collect(&aggs))
 	r1 := flow(1, "192.0.2.1", 123, "198.51.100.7", 4096, 2, true)
-	a.Add(&r1, "")
-	a.Close()
+	aggs := AggregateRecords([]netflow.Record{r1}, nil, Options{})
 	enc := woe.NewEncoder()
 	ObserveRecords(enc, []netflow.Record{r1})
 	row := Encode(enc, aggs[0], nil)
@@ -258,12 +237,11 @@ func TestEndToEndSyntheticSeparability(t *testing.T) {
 	flows := g.Generate(0, 240)
 	balanced, _ := balance.Flows(1, flows)
 
-	var aggs []*Aggregate
-	a := NewAggregator(nil, collect(&aggs))
+	vecs := make([]string, len(balanced))
 	for i := range balanced {
-		a.Add(&balanced[i].Record, balanced[i].Vector)
+		vecs[i] = balanced[i].Vector
 	}
-	a.Close()
+	aggs := AggregateRecords(synth.Records(balanced), vecs, Options{})
 	if len(aggs) < 50 {
 		t.Fatalf("aggregates = %d", len(aggs))
 	}
@@ -291,29 +269,20 @@ func TestEndToEndSyntheticSeparability(t *testing.T) {
 
 func BenchmarkAggregate(b *testing.B) {
 	g := synth.NewGenerator(synth.ProfileUS1())
-	flows := g.Generate(0, 10)
+	recs := synth.Records(g.Generate(0, 10))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := NewAggregator(nil, nil)
-		for j := range flows {
-			a.Add(&flows[j].Record, "")
-		}
-		a.Close()
+		AggregateRecords(recs, nil, Options{})
 	}
 }
 
 func BenchmarkEncode(b *testing.B) {
 	g := synth.NewGenerator(synth.ProfileUS1())
-	flows := g.Generate(0, 5)
-	var aggs []*Aggregate
-	a := NewAggregator(nil, collect(&aggs))
-	for j := range flows {
-		a.Add(&flows[j].Record, "")
-	}
-	a.Close()
+	recs := synth.Records(g.Generate(0, 5))
+	aggs := AggregateRecords(recs, nil, Options{})
 	enc := woe.NewEncoder()
-	ObserveRecords(enc, synth.Records(flows))
+	ObserveRecords(enc, recs)
 	var row []float64
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,8 +1,6 @@
 package features
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 	"net/netip"
 	"sort"
@@ -389,19 +387,15 @@ func (g *sgroup) finish() (*Aggregate, float64, float64) {
 	return agg, errSum, totSum
 }
 
-// flushSketch is flushMinute for sketch mode: identical collect-sort-rank
-// shape, plus per-minute admission-sketch resets and the error-bound
-// accounting behind the relative-error gauge.
-func (a *Aggregator) flushSketch() {
+// flushSketch is flush for sketch mode: identical collect-sort-rank shape,
+// plus per-minute admission-sketch resets and the error-bound accounting
+// behind the relative-error gauge.
+func (a *aggregator) flushSketch() {
 	total, foot := 0, 0
 	for i := range a.shards {
 		sk := a.shards[i].sk
 		total += len(sk.table)
 		foot += sk.footprint()
-	}
-	if total == 0 {
-		a.Metrics.observeFlush(0, float64(foot), 0)
-		return
 	}
 	groups := make([]*sgroup, 0, total)
 	for i := range a.shards {
@@ -416,267 +410,27 @@ func (a *Aggregator) flushSketch() {
 	sort.Slice(groups, func(i, j int) bool {
 		return groups[i].target.Compare(groups[j].target) < 0
 	})
-	if cap(a.finish) < total {
-		a.finish = make([]*Aggregate, total)
+	if cap(a.errW) < total {
 		a.errW = make([]float64, total)
 		a.errT = make([]float64, total)
 	}
-	out := a.finish[:total]
+	out := a.grow(total)
 	errW, errT := a.errW[:total], a.errT[:total]
-	workers := par.Workers(a.Workers)
-	if total < 16 {
-		workers = 1
-	}
-	par.ForChunks(workers, total, func(_, lo, hi int) {
+	par.ForChunks(a.rankWorkers(total), total, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i], errW[i], errT[i] = groups[i].finish()
 		}
 	})
 	var eW, eT float64
-	for i, agg := range out {
-		if a.Emit != nil {
-			a.Emit(agg)
-		}
-		out[i] = nil
+	for i, g := range groups {
 		eW += errW[i]
 		eT += errT[i]
-		sk := a.shards[a.shardIndex(groups[i].target)].sk
-		sk.pool = append(sk.pool, groups[i])
+		sk := a.shards[a.shardIndex(g.target)].sk
+		sk.pool = append(sk.pool, g)
 	}
 	rel := 0.0
 	if eT > 0 {
 		rel = eW / eT
 	}
-	a.Metrics.observeFlush(float64(total), float64(foot), rel)
-}
-
-// --- sketch-state checkpointing ---------------------------------------------
-
-// fagMagic guards serialized aggregator sketch state.
-const fagMagic = uint32(0x4641_4731) // "FAG1"
-
-// SketchState serializes the aggregator's in-flight sketch-mode minute —
-// admission sketches, eviction heaps and every resident group — so a
-// restarted process can resume mid-minute and emit bit-identical aggregates.
-// Group order follows each shard's heap array, and RestoreSketchState
-// reinstalls it verbatim, so post-restore evictions replay exactly as they
-// would have in the original process.
-func (a *Aggregator) SketchState() ([]byte, error) {
-	if a.shards[0].sk == nil {
-		return nil, fmt.Errorf("features: SketchState on an exact-mode aggregator")
-	}
-	dst := binary.BigEndian.AppendUint32(nil, fagMagic)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(a.cur))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(a.shards)))
-	for i := range a.shards {
-		sk := a.shards[i].sk
-		dst = appendBytes(dst, sk.tcm.AppendBinary(nil))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(sk.heap)))
-		for _, g := range sk.heap {
-			dst = g.appendBinary(dst)
-		}
-	}
-	return dst, nil
-}
-
-// RestoreSketchState restores state serialized by SketchState. The receiver
-// must be a sketch-mode aggregator with the same shard count; sketch
-// geometry is taken from the checkpoint.
-func (a *Aggregator) RestoreSketchState(data []byte) error {
-	if a.shards[0].sk == nil {
-		return fmt.Errorf("features: RestoreSketchState on an exact-mode aggregator")
-	}
-	if len(data) < 16 || binary.BigEndian.Uint32(data) != fagMagic {
-		return fmt.Errorf("features: bad sketch-state header")
-	}
-	cur := int64(binary.BigEndian.Uint64(data[4:]))
-	shards := int(binary.BigEndian.Uint32(data[12:]))
-	if shards != len(a.shards) {
-		return fmt.Errorf("features: checkpoint has %d shards, aggregator %d", shards, len(a.shards))
-	}
-	data = data[16:]
-	for i := range a.shards {
-		sk := a.shards[i].sk
-		blob, rest, err := takeBytes(data)
-		if err != nil {
-			return err
-		}
-		data = rest
-		if err := sk.tcm.UnmarshalBinary(blob); err != nil {
-			return err
-		}
-		if len(data) < 4 {
-			return fmt.Errorf("features: truncated sketch state")
-		}
-		n := int(binary.BigEndian.Uint32(data))
-		data = data[4:]
-		clear(sk.table)
-		sk.heap = sk.heap[:0]
-		for j := 0; j < n; j++ {
-			var g *sgroup
-			if p := len(sk.pool); p > 0 {
-				g = sk.pool[p-1]
-				sk.pool = sk.pool[:p-1]
-			} else {
-				g = newSgroup(sk.cfg)
-			}
-			rest, err := g.unmarshalBinary(data)
-			if err != nil {
-				return err
-			}
-			data = rest
-			g.hpos = int32(j)
-			sk.heap = append(sk.heap, g)
-			sk.table[g.target] = g
-		}
-	}
-	if len(data) != 0 {
-		return fmt.Errorf("features: %d trailing bytes in sketch state", len(data))
-	}
-	a.cur = cur
-	return nil
-}
-
-func appendBytes(dst, b []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
-	return append(dst, b...)
-}
-
-func takeBytes(data []byte) (blob, rest []byte, err error) {
-	if len(data) < 4 {
-		return nil, nil, fmt.Errorf("features: truncated sketch state")
-	}
-	n := int(binary.BigEndian.Uint32(data))
-	if len(data)-4 < n {
-		return nil, nil, fmt.Errorf("features: truncated sketch state blob")
-	}
-	return data[4 : 4+n], data[4+n:], nil
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
-func takeString(data []byte) (string, []byte, error) {
-	b, rest, err := takeBytes(data)
-	return string(b), rest, err
-}
-
-func (g *sgroup) appendBinary(dst []byte) []byte {
-	b16 := g.target.As16()
-	is4 := byte(0)
-	if g.target.Is4() {
-		is4 = 1
-	}
-	dst = append(dst, is4)
-	dst = append(dst, b16[:]...)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(g.minute))
-	lbl := byte(0)
-	if g.label {
-		lbl = 1
-	}
-	dst = append(dst, lbl)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(g.flows))
-	dst = binary.BigEndian.AppendUint64(dst, g.admW)
-	dst = binary.BigEndian.AppendUint64(dst, g.werr)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(g.rules)))
-	for id := range g.rules {
-		dst = appendString(dst, id)
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(g.vec)))
-	for v, n := range g.vec {
-		dst = appendString(dst, v)
-		dst = binary.BigEndian.AppendUint64(dst, uint64(n))
-	}
-	for c := 0; c < NumCats; c++ {
-		d := byte(0)
-		if g.dual[c] {
-			d = 1
-		}
-		dst = append(dst, d)
-	}
-	for c := 0; c < NumCats; c++ {
-		dst = appendBytes(dst, g.ssB[c].AppendBinary(nil))
-		if g.dual[c] {
-			dst = appendBytes(dst, g.ssP[c].AppendBinary(nil))
-		}
-		dst = appendBytes(dst, g.hll[c].AppendBinary(nil))
-	}
-	return dst
-}
-
-func (g *sgroup) unmarshalBinary(data []byte) ([]byte, error) {
-	if len(data) < 17+8+1+24 {
-		return nil, fmt.Errorf("features: truncated sketch group")
-	}
-	is4 := data[0]
-	var b16 [16]byte
-	copy(b16[:], data[1:17])
-	if is4 != 0 {
-		g.target = netip.AddrFrom4([4]byte(b16[12:16]))
-	} else {
-		g.target = netip.AddrFrom16(b16)
-	}
-	g.minute = int64(binary.BigEndian.Uint64(data[17:]))
-	g.label = data[25] != 0
-	g.flows = int(binary.BigEndian.Uint64(data[26:]))
-	g.admW = binary.BigEndian.Uint64(data[34:])
-	g.werr = binary.BigEndian.Uint64(data[42:])
-	data = data[50:]
-	if len(data) < 4 {
-		return nil, fmt.Errorf("features: truncated sketch group rules")
-	}
-	nr := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	clear(g.rules)
-	for i := 0; i < nr; i++ {
-		id, rest, err := takeString(data)
-		if err != nil {
-			return nil, err
-		}
-		g.rules[id] = struct{}{}
-		data = rest
-	}
-	if len(data) < 4 {
-		return nil, fmt.Errorf("features: truncated sketch group vectors")
-	}
-	nv := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	clear(g.vec)
-	for i := 0; i < nv; i++ {
-		v, rest, err := takeString(data)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) < 8 {
-			return nil, fmt.Errorf("features: truncated sketch group vector count")
-		}
-		g.vec[v] = int(binary.BigEndian.Uint64(rest))
-		data = rest[8:]
-	}
-	if len(data) < NumCats {
-		return nil, fmt.Errorf("features: truncated sketch group dual flags")
-	}
-	for c := 0; c < NumCats; c++ {
-		g.dual[c] = data[c] != 0
-	}
-	data = data[NumCats:]
-	for c := 0; c < NumCats; c++ {
-		us := []interface{ UnmarshalBinary([]byte) error }{g.ssB[c], g.hll[c]}
-		if g.dual[c] {
-			us = []interface{ UnmarshalBinary([]byte) error }{g.ssB[c], g.ssP[c], g.hll[c]}
-		}
-		for _, u := range us {
-			blob, rest, err := takeBytes(data)
-			if err != nil {
-				return nil, err
-			}
-			if err := u.UnmarshalBinary(blob); err != nil {
-				return nil, err
-			}
-			data = rest
-		}
-	}
-	return data, nil
+	a.opt.Metrics.observeFlush(float64(total), float64(foot), rel)
 }

@@ -12,7 +12,7 @@ import (
 	"github.com/ixp-scrubber/ixpscrubber/internal/tagging"
 )
 
-// TestShardsFor locks DefaultShards to the available parallelism: the shard
+// TestShardsFor locks defaultShards to the available parallelism: the shard
 // count must never exceed GOMAXPROCS (a 1-core box gets exactly 1 shard).
 func TestShardsFor(t *testing.T) {
 	cases := map[int]int{1: 1, 2: 2, 3: 2, 4: 4, 5: 4, 7: 4, 8: 8, 9: 8, 16: 16, 17: 16, 64: 16}
@@ -24,8 +24,8 @@ func TestShardsFor(t *testing.T) {
 			t.Errorf("shardsFor(%d) = %d exceeds worker parallelism", procs, got)
 		}
 	}
-	if got, procs := DefaultShards(), runtime.GOMAXPROCS(0); got > procs || got < 1 {
-		t.Errorf("DefaultShards() = %d with GOMAXPROCS %d", got, procs)
+	if got, procs := defaultShards(), runtime.GOMAXPROCS(0); got > procs || got < 1 {
+		t.Errorf("defaultShards() = %d with GOMAXPROCS %d", got, procs)
 	}
 }
 
@@ -72,18 +72,13 @@ func TestSketchAggregatorExactIdentity(t *testing.T) {
 		if withTagger {
 			tagger = tagging.NewTagger(rules)
 		}
-		var want []*Aggregate
-		ref := NewAggregatorShards(tagger, 4, func(a *Aggregate) { want = append(want, a) })
-		runAggregator(ref.Add, ref.Close, recs, vecs)
+		want := aggregate(recs, vecs, Options{Tagger: tagger}, 4)
 		if len(want) == 0 {
 			t.Fatal("exact aggregator produced no aggregates")
 		}
 		for _, shards := range []int{1, 4, 16} {
 			for _, workers := range []int{1, 4} {
-				var got []*Aggregate
-				a := NewAggregatorSketch(tagger, shards, generousSketch(), func(ag *Aggregate) { got = append(got, ag) })
-				a.Workers = workers
-				runAggregator(a.Add, a.Close, recs, vecs)
+				got := aggregate(recs, vecs, Options{Tagger: tagger, Sketch: generousSketch(), Workers: workers}, shards)
 				if len(got) != len(want) {
 					t.Fatalf("tagger=%v shards=%d workers=%d: %d aggregates, exact %d",
 						withTagger, shards, workers, len(got), len(want))
@@ -169,15 +164,14 @@ func TestSketchHeavyHitterBudget(t *testing.T) {
 		recs := heavyStream(seed, 24, 4000)
 		for _, shards := range []int{1, 4, 16} {
 			exact := map[netip.Addr]*Aggregate{}
-			ref := NewAggregatorShards(nil, shards, func(a *Aggregate) { exact[a.Target] = a })
-			ref.AddBatch(recs, nil)
-			ref.Close()
-
+			for _, a := range aggregate(recs, nil, Options{}, shards) {
+				exact[a.Target] = a
+			}
 			got := map[netip.Addr]*Aggregate{}
 			cfg := &SketchConfig{Budget: budget, MaxGroups: 256}
-			a := NewAggregatorSketch(nil, shards, cfg, func(ag *Aggregate) { got[ag.Target] = ag })
-			a.AddBatch(recs, nil)
-			a.Close()
+			for _, a := range aggregate(recs, nil, Options{Sketch: cfg}, shards) {
+				got[a.Target] = a
+			}
 
 			if len(got) > 256+shards*2*R {
 				t.Fatalf("seed=%d shards=%d: %d resident groups exceed the bound", seed, shards, len(got))
@@ -214,75 +208,28 @@ func TestSketchHeavyHitterBudget(t *testing.T) {
 	}
 }
 
-// TestSketchCheckpointRestore: serializing the sketch state mid-minute and
-// restoring it into a fresh aggregator must replay the rest of the stream to
-// bit-identical emissions — the crash/restart contract of the chaos harness.
-func TestSketchCheckpointRestore(t *testing.T) {
-	recs := heavyStream(3, 16, 1500)
-	// Extend with a second minute so the checkpoint straddles unflushed state.
-	more := heavyStream(4, 16, 1500)
-	for i := range more {
-		more[i].Timestamp += 60
-	}
-	recs = append(recs, more...)
-	cfg := &SketchConfig{Budget: 0.05, MaxGroups: 128}
-
-	var want []*Aggregate
-	full := NewAggregatorSketch(nil, 4, cfg, func(a *Aggregate) { want = append(want, a) })
-	full.AddBatch(recs, nil)
-	full.Close()
-
-	cut := len(recs) / 2
-	var pre []*Aggregate
-	first := NewAggregatorSketch(nil, 4, cfg, func(a *Aggregate) { pre = append(pre, a) })
-	first.AddBatch(recs[:cut], nil)
-	state, err := first.SketchState()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	got := pre[:len(pre):len(pre)]
-	second := NewAggregatorSketch(nil, 4, cfg, func(a *Aggregate) { got = append(got, a) })
-	if err := second.RestoreSketchState(state); err != nil {
-		t.Fatal(err)
-	}
-	second.AddBatch(recs[cut:], nil)
-	second.Close()
-
-	if len(got) != len(want) {
-		t.Fatalf("restored run emitted %d aggregates, uninterrupted %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("aggregate %d differs after checkpoint/restore:\n got: %+v\nwant: %+v",
-				i, got[i], want[i])
-		}
-	}
-	if err := NewAggregatorShards(nil, 4, nil).RestoreSketchState(state); err == nil {
-		t.Fatal("exact-mode aggregator accepted sketch state")
-	}
-	if err := second.RestoreSketchState(state[:8]); err == nil {
-		t.Fatal("truncated sketch state accepted")
-	}
-}
-
-// TestSketchAddAllocs proves the sketch ingest path stays allocation-free at
+// TestSketchAddAllocs proves the sketch shard add stays allocation-free at
 // steady state: resident targets, warm summaries, no admissions.
 func TestSketchAddAllocs(t *testing.T) {
 	recs := heavyStream(9, 8, 200)
-	a := NewAggregatorSketch(nil, 4, &SketchConfig{Budget: 0.05, MaxGroups: 64}, nil)
-	a.AddBatch(recs, nil)
+	s := newStream(Options{Sketch: &SketchConfig{Budget: 0.05, MaxGroups: 64}}, 4)
+	feed := func() {
+		for i := range recs {
+			s.add(&recs[i], "")
+		}
+	}
+	feed()
 	// Advance a minute and re-feed: every group now recycles through the
 	// warm pool, which is the steady state being gated.
 	for i := range recs {
 		recs[i].Timestamp += 60
 	}
-	a.AddBatch(recs, nil)
+	feed()
 	rec := recs[0]
 	avg := testing.AllocsPerRun(300, func() {
-		a.Add(&rec, "")
+		s.add(&rec, "")
 	})
 	if avg != 0 {
-		t.Errorf("sketch Add allocates %.2f objects/record steady-state, want 0", avg)
+		t.Errorf("sketch shard add allocates %.2f objects/record steady-state, want 0", avg)
 	}
 }

@@ -30,10 +30,9 @@ type UDPCollector struct {
 	Label func(ip netip.Addr, at int64) bool
 	// EmitBatch receives converted records in batches of up to BatchSize.
 	// The slice is reused after the call returns: receivers must consume or
-	// copy it synchronously. Preferred over Emit on the hot path.
+	// copy it synchronously. Nil discards the records (the counters still
+	// run).
 	EmitBatch func([]netflow.Record)
-	// Emit receives each converted record when EmitBatch is nil.
-	Emit func(*netflow.Record)
 	// BatchSize caps the EmitBatch batch; 0 means DefaultBatchSize.
 	BatchSize int
 	// FlushInterval bounds partial-batch latency in Listen; 0 means
@@ -150,36 +149,22 @@ func (u *UDPCollector) Handle(data []byte) {
 	}
 	u.Messages.Add(1)
 	var blackholed uint64
-	if u.EmitBatch == nil {
-		// Legacy per-record path.
-		for i := range recs {
-			nr := ToNetflow(&recs[i])
-			if u.Label != nil && u.Label(nr.DstIP, nr.Timestamp) {
-				nr.Blackholed = true
-				blackholed++
-			}
-			if u.Emit != nil {
-				u.Emit(&nr)
-			}
+	size := u.batchSize()
+	for i := range recs {
+		// Convert straight into the batch slot: no per-record copies.
+		if len(u.batch) < cap(u.batch) {
+			u.batch = u.batch[:len(u.batch)+1]
+		} else {
+			u.batch = append(u.batch, netflow.Record{})
 		}
-	} else {
-		size := u.batchSize()
-		for i := range recs {
-			// Convert straight into the batch slot: no per-record copies.
-			if len(u.batch) < cap(u.batch) {
-				u.batch = u.batch[:len(u.batch)+1]
-			} else {
-				u.batch = append(u.batch, netflow.Record{})
-			}
-			slot := &u.batch[len(u.batch)-1]
-			*slot = ToNetflow(&recs[i])
-			if u.Label != nil && u.Label(slot.DstIP, slot.Timestamp) {
-				slot.Blackholed = true
-				blackholed++
-			}
-			if len(u.batch) >= size {
-				u.flushBatch()
-			}
+		slot := &u.batch[len(u.batch)-1]
+		*slot = ToNetflow(&recs[i])
+		if u.Label != nil && u.Label(slot.DstIP, slot.Timestamp) {
+			slot.Blackholed = true
+			blackholed++
+		}
+		if len(u.batch) >= size {
+			u.flushBatch()
 		}
 	}
 	u.Records.Add(uint64(len(recs)))
@@ -192,10 +177,9 @@ func (u *UDPCollector) Handle(data []byte) {
 func (u *UDPCollector) Flush() { u.flushBatch() }
 
 func (u *UDPCollector) flushBatch() {
-	if len(u.batch) == 0 || u.EmitBatch == nil {
-		return
+	if len(u.batch) > 0 && u.EmitBatch != nil {
+		u.EmitBatch(u.batch)
 	}
-	u.EmitBatch(u.batch)
 	u.batch = u.batch[:0]
 }
 

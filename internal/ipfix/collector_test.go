@@ -39,9 +39,9 @@ func TestUDPCollectorEndToEnd(t *testing.T) {
 	victim := netip.MustParseAddr("198.51.100.7")
 	uc := &UDPCollector{
 		Label: func(ip netip.Addr, at int64) bool { return ip == victim },
-		Emit: func(r *netflow.Record) {
+		EmitBatch: func(recs []netflow.Record) {
 			mu.Lock()
-			got = append(got, *r)
+			got = append(got, recs...)
 			mu.Unlock()
 		},
 	}
@@ -87,6 +87,90 @@ func TestUDPCollectorEndToEnd(t *testing.T) {
 	}
 }
 
+// batchMessages encodes nine messages of one domain (the first carries the
+// template) with distinct source ports, and returns them with the records a
+// message-by-message decode and conversion yields.
+func batchMessages(t *testing.T) ([][]byte, []netflow.Record) {
+	t.Helper()
+	e := &Exporter{DomainID: 7}
+	dec := NewCollector()
+	var payloads [][]byte
+	var want []netflow.Record
+	for i := 0; i < 9; i++ {
+		recs := sampleRecords()
+		for j := range recs {
+			recs[j].SrcPort = uint16(i*10 + j)
+		}
+		p := e.Encode(nil, uint32(1000+i), recs)
+		got, err := dec.DecodeAppend(nil, p)
+		if err != nil || len(got) != len(recs) {
+			t.Fatalf("message %d: decoded %d records, err %v", i, len(got), err)
+		}
+		for j := range got {
+			want = append(want, ToNetflow(&got[j]))
+		}
+		payloads = append(payloads, p)
+	}
+	return payloads, want
+}
+
+// TestHandleBatchBoundaries: the batched handoff delivers exactly the
+// converted records, in order, in batches of at most BatchSize — at sizes
+// that flush mid-message and that leave a partial batch for Flush.
+func TestHandleBatchBoundaries(t *testing.T) {
+	payloads, want := batchMessages(t)
+	for _, size := range []int{1, 3, 256} {
+		var got []netflow.Record
+		uc := &UDPCollector{
+			BatchSize: size,
+			EmitBatch: func(recs []netflow.Record) {
+				if len(recs) == 0 || len(recs) > size {
+					t.Errorf("size %d: batch of %d records", size, len(recs))
+				}
+				got = append(got, recs...)
+			},
+		}
+		for _, p := range payloads {
+			uc.Handle(p)
+		}
+		if pending := len(want) % size; len(got) != len(want)-pending {
+			t.Fatalf("size %d: %d records delivered before Flush, want %d", size, len(got), len(want)-pending)
+		}
+		uc.Flush()
+		if len(got) != len(want) {
+			t.Fatalf("size %d: %d records, want %d", size, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("size %d: record %d = %+v, want %+v", size, i, got[i], want[i])
+			}
+		}
+		if r := uc.Records.Load(); r != uint64(len(want)) {
+			t.Errorf("size %d: Records = %d, want %d", size, r, len(want))
+		}
+		if m := uc.Messages.Load(); m != uint64(len(payloads)) {
+			t.Errorf("size %d: Messages = %d, want %d", size, m, len(payloads))
+		}
+	}
+}
+
+// TestHandleNilEmitBatch: without EmitBatch the collector discards its
+// records but still counts them, and Flush leaves nothing pending.
+func TestHandleNilEmitBatch(t *testing.T) {
+	payloads, want := batchMessages(t)
+	uc := &UDPCollector{BatchSize: 4}
+	for _, p := range payloads {
+		uc.Handle(p)
+	}
+	uc.Flush()
+	if len(uc.batch) != 0 {
+		t.Errorf("%d records still pending after Flush", len(uc.batch))
+	}
+	if r := uc.Records.Load(); r != uint64(len(want)) {
+		t.Errorf("Records = %d, want %d", r, len(want))
+	}
+}
+
 func TestHandleGarbage(t *testing.T) {
 	uc := &UDPCollector{}
 	uc.Handle([]byte{1, 2, 3}) // shorter than a message header
@@ -99,53 +183,5 @@ func TestHandleGarbage(t *testing.T) {
 	uc.Handle(bad)
 	if uc.DecodeErrs.Load() != 1 {
 		t.Error("malformed message not counted")
-	}
-}
-
-// TestHandleBatchMatchesEmit: the batched handoff must deliver exactly the
-// records (and stats) of the legacy per-record Emit path, including across
-// mid-message flushes and a trailing partial batch.
-func TestHandleBatchMatchesEmit(t *testing.T) {
-	e := &Exporter{DomainID: 7}
-	var payloads [][]byte
-	payloads = append(payloads, e.Encode(nil, 1000, sampleRecords())) // carries template
-	for i := 0; i < 8; i++ {
-		recs := sampleRecords()
-		for j := range recs {
-			recs[j].SrcPort = uint16(i*10 + j)
-		}
-		payloads = append(payloads, e.Encode(nil, uint32(1001+i), recs))
-	}
-
-	var want []netflow.Record
-	legacy := &UDPCollector{Emit: func(r *netflow.Record) { want = append(want, *r) }}
-	for _, p := range payloads {
-		legacy.Handle(p)
-	}
-
-	for _, size := range []int{1, 3, 256} {
-		var got []netflow.Record
-		batched := &UDPCollector{
-			BatchSize: size,
-			EmitBatch: func(recs []netflow.Record) { got = append(got, recs...) },
-		}
-		for _, p := range payloads {
-			batched.Handle(p)
-		}
-		batched.Flush()
-		if len(got) != len(want) {
-			t.Fatalf("size %d: %d records, want %d", size, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("size %d: record %d = %+v, want %+v", size, i, got[i], want[i])
-			}
-		}
-		if r, w := batched.Records.Load(), legacy.Records.Load(); r != w {
-			t.Errorf("size %d: Records = %d, want %d", size, r, w)
-		}
-		if m, w := batched.Messages.Load(), legacy.Messages.Load(); m != w {
-			t.Errorf("size %d: Messages = %d, want %d", size, m, w)
-		}
 	}
 }

@@ -113,9 +113,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		Label: registry.Covered,
 		Clock: getClock,
 		Log:   log,
-		Emit: func(r *netflow.Record) {
+		EmitBatch: func(recs []netflow.Record) {
 			balMu.Lock()
-			bal.Add(*r)
+			bal.AddBatch(recs)
 			balMu.Unlock()
 		},
 	}
@@ -219,6 +219,16 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
+	// Stop the collector first: its shutdown path delivers the pending
+	// partial batch, so the balancer has every record before its flush.
+	cancel()
+	if err := <-rsDone; err != nil {
+		return nil, fmt.Errorf("ixpsim: route server: %w", err)
+	}
+	if err := <-colDone; err != nil {
+		return nil, fmt.Errorf("ixpsim: collector: %w", err)
+	}
+
 	balMu.Lock()
 	bal.Flush()
 	res.BalanceStats = bal.Stats
@@ -229,13 +239,5 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res.Records = collector.Stats.Records.Load()
 	res.Blackholed = collector.Stats.Blackholed.Load()
 	res.BlackholesSeen = registry.PrefixCount()
-
-	cancel()
-	if err := <-rsDone; err != nil {
-		return nil, fmt.Errorf("ixpsim: route server: %w", err)
-	}
-	if err := <-colDone; err != nil {
-		return nil, fmt.Errorf("ixpsim: collector: %w", err)
-	}
 	return res, nil
 }

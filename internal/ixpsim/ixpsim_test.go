@@ -47,6 +47,11 @@ func TestRunEndToEnd(t *testing.T) {
 	if len(res.Balanced) == 0 {
 		t.Fatal("balanced output empty")
 	}
+	// The collector stops, flushing its partial batch, before the balancer's
+	// final flush: every converted record reaches the balancer.
+	if res.BalanceStats.In != res.Records {
+		t.Errorf("balancer saw %d records, collector converted %d", res.BalanceStats.In, res.Records)
+	}
 	// Balanced share is ~50% like the offline pipeline.
 	bh := 0
 	for i := range res.Balanced {

@@ -65,9 +65,6 @@ func buildScrubber(b *builder, sc *SegmentConfig, next EmitFunc) (Instance, erro
 		Shadow:          sc.Bool("shadow"),
 		Drop:            sc.Bool("drop") || sc.Str("drop-rules") != "",
 	}
-	if b.env.PipelineHook != nil {
-		b.env.PipelineHook(&pc)
-	}
 	if pc.Drop && pc.Metrics != nil {
 		// NewPipeline registers the embedded stage under ixps_dropper_*;
 		// a standalone dropper segment in the same config must not

@@ -57,11 +57,6 @@ type Env struct {
 	// ListenPacket opens listener sockets; nil means net.ListenPacket.
 	// The chaos harness hands out in-memory conns here.
 	ListenPacket func(network, addr string) (net.PacketConn, error)
-	// PipelineHook, when set, edits the scrubber segment's assembled
-	// ixpsim.PipelineConfig before construction — the escape hatch the
-	// chaos harness and cluster use for KeepHook, ConsumeGate, Core,
-	// Registry and promotion policy injection.
-	PipelineHook func(*ixpsim.PipelineConfig)
 }
 
 func (e *Env) log() *slog.Logger {

@@ -56,14 +56,9 @@ type Collector struct {
 	Label Labeler
 	// EmitBatch receives converted records in batches of up to BatchSize.
 	// The slice (and its records) is reused after the call returns:
-	// receivers must consume or copy it synchronously. Preferred over Emit
-	// on the hot path — one downstream handoff per batch instead of per
-	// record.
+	// receivers must consume or copy it synchronously. Nil discards the
+	// records (the counters still run).
 	EmitBatch func([]netflow.Record)
-	// Emit receives each converted record when EmitBatch is nil. It is
-	// called from the receive loop, so it must be fast or hand off to a
-	// channel.
-	Emit func(*netflow.Record)
 	// BatchSize caps the EmitBatch batch; 0 means DefaultBatchSize.
 	BatchSize int
 	// FlushInterval bounds the latency of a partial batch while the
@@ -134,11 +129,10 @@ func (c *Collector) batchSize() int {
 	return DefaultBatchSize
 }
 
-// HandleDatagram decodes one datagram payload and hands its records
-// downstream: into the pending batch when EmitBatch is set (delivered once
-// BatchSize accumulates — call Flush to force a partial batch out), else
-// record-by-record through Emit. Not safe for concurrent calls with itself
-// or Flush.
+// HandleDatagram decodes one datagram payload and appends its records to
+// the pending batch, delivered to EmitBatch once BatchSize accumulates —
+// call Flush to force a partial batch out. Not safe for concurrent calls
+// with itself or Flush.
 func (c *Collector) HandleDatagram(data []byte) {
 	d := dgPool.Get().(*Datagram)
 	defer dgPool.Put(d)
@@ -156,22 +150,6 @@ func (c *Collector) HandleDatagram(data []byte) {
 	c.Stats.Datagrams.Add(1)
 	c.Stats.Samples.Add(uint64(len(d.Samples)))
 	at := c.now()
-	if c.EmitBatch == nil {
-		// Legacy per-record path.
-		var records uint64
-		var rec netflow.Record
-		for i := range d.Samples {
-			if !c.SampleToRecord(&d.Samples[i], at, &rec) {
-				continue
-			}
-			records++
-			if c.Emit != nil {
-				c.Emit(&rec)
-			}
-		}
-		c.Stats.Records.Add(records)
-		return
-	}
 	var records uint64
 	size := c.batchSize()
 	for i := range d.Samples {
@@ -216,10 +194,9 @@ func (c *Collector) safeHandle(data []byte) {
 func (c *Collector) Flush() { c.flushBatch() }
 
 func (c *Collector) flushBatch() {
-	if len(c.batch) == 0 || c.EmitBatch == nil {
-		return
+	if len(c.batch) > 0 && c.EmitBatch != nil {
+		c.EmitBatch(c.batch)
 	}
-	c.EmitBatch(c.batch)
 	c.batch = c.batch[:0]
 }
 

@@ -198,9 +198,9 @@ func TestCollectorEndToEnd(t *testing.T) {
 	var got []netflow.Record
 	c := &Collector{
 		Clock: func() int64 { return 5000 },
-		Emit: func(r *netflow.Record) {
+		EmitBatch: func(recs []netflow.Record) {
 			mu.Lock()
-			got = append(got, *r)
+			got = append(got, recs...)
 			mu.Unlock()
 		},
 	}
@@ -283,15 +283,23 @@ func BenchmarkSampleToRecord(b *testing.B) {
 	}
 }
 
-// TestHandleDatagramBatchMatchesEmit: the batched handoff must deliver
-// exactly the records (and stats) of the legacy per-record Emit path, at
-// batch sizes that flush mid-datagram and that need a final Flush.
-func TestHandleDatagramBatchMatchesEmit(t *testing.T) {
+// batchPayloads encodes nine datagrams with distinct sample sequences, and
+// returns them with the records a direct SampleToRecord conversion of every
+// sample yields at the given timestamp.
+func batchPayloads(t *testing.T, at int64) ([][]byte, []netflow.Record) {
+	t.Helper()
 	var payloads [][]byte
+	var want []netflow.Record
+	conv := &Collector{}
 	for i := 0; i < 9; i++ {
 		d := sampleDatagram()
 		for j := range d.Samples {
 			d.Samples[j].Sequence = uint32(i*10 + j)
+			d.Samples[j].FrameLength = uint32(100 + i*10 + j)
+			var rec netflow.Record
+			if conv.SampleToRecord(&d.Samples[j], at, &rec) {
+				want = append(want, rec)
+			}
 		}
 		buf, err := Append(nil, d)
 		if err != nil {
@@ -299,27 +307,34 @@ func TestHandleDatagramBatchMatchesEmit(t *testing.T) {
 		}
 		payloads = append(payloads, buf)
 	}
+	return payloads, want
+}
 
-	var want []netflow.Record
-	legacy := &Collector{
-		Clock: func() int64 { return 5000 },
-		Emit:  func(r *netflow.Record) { want = append(want, *r) },
-	}
-	for _, p := range payloads {
-		legacy.HandleDatagram(p)
-	}
-
+// TestHandleDatagramBatchBoundaries: the batched handoff delivers exactly
+// the records of a per-sample conversion, in order, in batches of at most
+// BatchSize — at sizes that flush mid-datagram and that leave a partial
+// batch for Flush.
+func TestHandleDatagramBatchBoundaries(t *testing.T) {
+	payloads, want := batchPayloads(t, 5000)
 	for _, size := range []int{1, 3, 256} {
 		var got []netflow.Record
-		batched := &Collector{
+		c := &Collector{
 			Clock:     func() int64 { return 5000 },
 			BatchSize: size,
-			EmitBatch: func(recs []netflow.Record) { got = append(got, recs...) },
+			EmitBatch: func(recs []netflow.Record) {
+				if len(recs) == 0 || len(recs) > size {
+					t.Errorf("size %d: batch of %d records", size, len(recs))
+				}
+				got = append(got, recs...)
+			},
 		}
 		for _, p := range payloads {
-			batched.HandleDatagram(p)
+			c.HandleDatagram(p)
 		}
-		batched.Flush()
+		if pending := len(want) % size; len(got) != len(want)-pending {
+			t.Fatalf("size %d: %d records delivered before Flush, want %d", size, len(got), len(want)-pending)
+		}
+		c.Flush()
 		if len(got) != len(want) {
 			t.Fatalf("size %d: %d records, want %d", size, len(got), len(want))
 		}
@@ -328,12 +343,84 @@ func TestHandleDatagramBatchMatchesEmit(t *testing.T) {
 				t.Fatalf("size %d: record %d = %+v, want %+v", size, i, got[i], want[i])
 			}
 		}
-		if r, w := batched.Stats.Records.Load(), legacy.Stats.Records.Load(); r != w {
-			t.Errorf("size %d: Stats.Records = %d, want %d", size, r, w)
+		if r := c.Stats.Records.Load(); r != uint64(len(want)) {
+			t.Errorf("size %d: Stats.Records = %d, want %d", size, r, len(want))
 		}
-		if d, w := batched.Stats.Datagrams.Load(), legacy.Stats.Datagrams.Load(); d != w {
-			t.Errorf("size %d: Stats.Datagrams = %d, want %d", size, d, w)
+		if d := c.Stats.Datagrams.Load(); d != uint64(len(payloads)) {
+			t.Errorf("size %d: Stats.Datagrams = %d, want %d", size, d, len(payloads))
 		}
+	}
+}
+
+// TestHandleDatagramNilEmitBatch: without EmitBatch the collector discards
+// its records but still counts them, and Flush leaves nothing pending.
+func TestHandleDatagramNilEmitBatch(t *testing.T) {
+	payloads, want := batchPayloads(t, 5000)
+	c := &Collector{Clock: func() int64 { return 5000 }, BatchSize: 4}
+	for _, p := range payloads {
+		c.HandleDatagram(p)
+	}
+	c.Flush()
+	if len(c.batch) != 0 {
+		t.Errorf("%d records still pending after Flush", len(c.batch))
+	}
+	if r := c.Stats.Records.Load(); r != uint64(len(want)) {
+		t.Errorf("Stats.Records = %d, want %d", r, len(want))
+	}
+}
+
+// TestListenShutdownFlush: canceling Listen delivers the pending partial
+// batch before Listen returns, so a caller that waits for Listen has every
+// received record downstream.
+func TestListenShutdownFlush(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var got int
+	c := &Collector{
+		Clock:         func() int64 { return 5000 },
+		BatchSize:     1024,      // never filled by one datagram
+		FlushInterval: time.Hour, // the idle flush never fires
+		EmitBatch: func(recs []netflow.Record) {
+			mu.Lock()
+			got += len(recs)
+			mu.Unlock()
+		},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- c.Listen(ctx, pc) }()
+
+	exp, err := NewExporter(pc.LocalAddr().String(), netip.MustParseAddr("10.0.0.5"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+	if err := exp.Send(sampleDatagram().Samples); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Stats.Records.Load() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("collector converted %d records, want 2", c.Stats.Records.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	mu.Lock()
+	early := got
+	mu.Unlock()
+	if early != 0 {
+		t.Fatalf("%d records delivered before shutdown, want 0", early)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	if got != 2 {
+		t.Fatalf("shutdown delivered %d records, want 2", got)
 	}
 }
 

@@ -1,8 +1,6 @@
 package sketch
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 	"math/bits"
 	"sync"
@@ -16,8 +14,8 @@ import (
 // The harmonic sum Σ 2^-r over the registers is maintained incrementally as
 // an exact 128-bit fixed-point integer (sumHi·2^64 + sumLo, in units of
 // 2^-64), so Estimate is O(1) instead of a register scan, and — being an
-// integer — is a pure function of the register multiset: update order,
-// merges and checkpoint restores all converge to bit-identical estimates.
+// integer — is a pure function of the register multiset: any update order
+// converges to a bit-identical estimate.
 type HLL struct {
 	p     uint8
 	dense bool // true once touched overflowed; Reset must clear all registers
@@ -107,24 +105,6 @@ func (h *HLL) Add(hash uint64) {
 	h.sumHi += nh + carry
 }
 
-// recount rebuilds the incremental zero count and harmonic sum from the
-// registers (after Merge or UnmarshalBinary). The register set is no longer
-// tracked incrementally, so the counter turns dense.
-func (h *HLL) recount() {
-	h.zeros, h.sumHi, h.sumLo = 0, 0, 0
-	for _, r := range h.reg {
-		if r == 0 {
-			h.zeros++
-		}
-		hi, lo := contrib(r)
-		var carry uint64
-		h.sumLo, carry = bits.Add64(h.sumLo, lo, 0)
-		h.sumHi += hi + carry
-	}
-	h.dense = true
-	h.touched = h.touched[:0]
-}
-
 // AddKey hashes an arbitrary key through mix64 and observes it.
 func (h *HLL) AddKey(key uint64) { h.Add(mix64(key)) }
 
@@ -170,20 +150,6 @@ func (h *HLL) Estimate() float64 {
 	return est
 }
 
-// Merge folds other into h (register-wise max). Precisions must match.
-func (h *HLL) Merge(other *HLL) error {
-	if h.p != other.p {
-		return fmt.Errorf("sketch: merging HLL precision %d into %d", other.p, h.p)
-	}
-	for i, r := range other.reg {
-		if r > h.reg[i] {
-			h.reg[i] = r
-		}
-	}
-	h.recount()
-	return nil
-}
-
 // Reset zeroes the registers, keeping the allocation. While the counter is
 // sparse only the touched registers are written.
 func (h *HLL) Reset() {
@@ -203,28 +169,3 @@ func (h *HLL) Reset() {
 
 // Footprint returns the register heap bytes.
 func (h *HLL) Footprint() int { return len(h.reg) }
-
-// hllMagic guards serialized HLL state.
-const hllMagic = uint32(0x484c_4c31) // "HLL1"
-
-// AppendBinary serializes the counter for checkpointing.
-func (h *HLL) AppendBinary(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, hllMagic)
-	dst = append(dst, h.p)
-	return append(dst, h.reg...)
-}
-
-// UnmarshalBinary restores state serialized by AppendBinary.
-func (h *HLL) UnmarshalBinary(data []byte) error {
-	if len(data) < 5 || binary.BigEndian.Uint32(data) != hllMagic {
-		return fmt.Errorf("sketch: bad hll header")
-	}
-	p := data[4]
-	if p < 4 || p > 16 || len(data)-5 != 1<<p {
-		return fmt.Errorf("sketch: bad hll precision %d for %d registers", p, len(data)-5)
-	}
-	h.p = p
-	h.reg = append(h.reg[:0], data[5:]...)
-	h.recount()
-	return nil
-}

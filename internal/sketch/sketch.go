@@ -9,18 +9,13 @@
 //   - fixed footprint chosen at construction time, independent of stream
 //     cardinality;
 //   - deterministic state — no seeded process-local hashing, so two runs over
-//     the same stream (or a checkpoint/restore pair) produce bit-identical
-//     summaries;
+//     the same stream produce bit-identical summaries;
 //   - allocation-free updates once constructed (Add never allocates);
 //   - estimates that only ever over-count, so heavy hitters are never missed,
 //     only over-reported within a quantified error bound.
 package sketch
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "math"
 
 // mix64 is the splitmix64 finalizer: a cheap, statistically strong bijection
 // used to derive row hashes from one 64-bit key. Being a fixed function (no
@@ -130,44 +125,3 @@ func (c *CountMin) Reset() {
 
 // Footprint returns the heap bytes held by the cell array.
 func (c *CountMin) Footprint() int { return len(c.cells) * 16 }
-
-// cmMagic guards serialized CountMin state.
-const cmMagic = uint32(0x434d_5331) // "CMS1"
-
-// AppendBinary serializes the sketch (geometry + cells) for checkpointing.
-func (c *CountMin) AppendBinary(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, cmMagic)
-	dst = binary.BigEndian.AppendUint64(dst, c.width)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(c.depth))
-	for _, cell := range c.cells {
-		dst = binary.BigEndian.AppendUint64(dst, cell[0])
-		dst = binary.BigEndian.AppendUint64(dst, cell[1])
-	}
-	return dst
-}
-
-// UnmarshalBinary restores state serialized by AppendBinary. The receiver's
-// geometry is replaced by the serialized one.
-func (c *CountMin) UnmarshalBinary(data []byte) error {
-	if len(data) < 16 || binary.BigEndian.Uint32(data) != cmMagic {
-		return fmt.Errorf("sketch: bad count-min header")
-	}
-	width := binary.BigEndian.Uint64(data[4:])
-	depth := int(binary.BigEndian.Uint32(data[12:]))
-	if width == 0 || width&(width-1) != 0 || depth < 1 || depth > len(rowSeeds) {
-		return fmt.Errorf("sketch: bad count-min geometry width=%d depth=%d", width, depth)
-	}
-	n := width * uint64(depth)
-	if uint64(len(data)-16) != n*16 {
-		return fmt.Errorf("sketch: count-min payload %d bytes, want %d", len(data)-16, n*16)
-	}
-	c.width, c.depth = width, depth
-	c.cells = make([][2]uint64, n)
-	off := 16
-	for i := range c.cells {
-		c.cells[i][0] = binary.BigEndian.Uint64(data[off:])
-		c.cells[i][1] = binary.BigEndian.Uint64(data[off+8:])
-		off += 16
-	}
-	return nil
-}

@@ -78,19 +78,12 @@ func TestCountMinConservativeTighterThanBound(t *testing.T) {
 	}
 }
 
-func TestCountMinDeterministicAndRoundTrip(t *testing.T) {
+func TestCountMinDeterministic(t *testing.T) {
 	truth := zipfStream(3, 512, 5000)
 	a, b := NewCountMin(256, 2), NewCountMin(256, 2)
 	replay(truth, func(k, by, p uint64) { a.Update(k, by, p); b.Update(k, by, p) })
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("identical streams produced different count-min state")
-	}
-	var c CountMin
-	if err := c.UnmarshalBinary(a.AppendBinary(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.cells, c.cells) || a.width != c.width || a.depth != c.depth {
-		t.Fatal("count-min binary round trip lost state")
 	}
 	a.Reset()
 	if gb, gp := a.Estimate(1); gb != 0 || gp != 0 {
@@ -140,25 +133,12 @@ func TestSpaceSavingHeavyHitterGuarantee(t *testing.T) {
 	}
 }
 
-func TestSpaceSavingDeterministicAndRoundTrip(t *testing.T) {
+func TestSpaceSavingDeterministic(t *testing.T) {
 	truth := zipfStream(5, 512, 8000)
 	a, b := NewSpaceSaving(32, 1), NewSpaceSaving(32, 1)
 	replay(truth, func(k, by, p uint64) { a.Add(k, by, p); b.Add(k, by, p) })
 	if !reflect.DeepEqual(a.entries, b.entries) {
 		t.Fatal("identical streams produced different space-saving state")
-	}
-	var c SpaceSaving
-	if err := c.UnmarshalBinary(a.AppendBinary(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.entries, c.entries) || c.k != a.k || c.primary != a.primary {
-		t.Fatal("space-saving binary round trip lost state")
-	}
-	// Restored summaries must keep evolving identically.
-	a.Add(99999, 10, 1)
-	c.Add(99999, 10, 1)
-	if !reflect.DeepEqual(a.entries, c.entries) {
-		t.Fatal("restored summary diverged on next update")
 	}
 }
 
@@ -216,28 +196,20 @@ func TestHLLEstimateWithinTolerance(t *testing.T) {
 	}
 }
 
-func TestHLLMergeAndRoundTrip(t *testing.T) {
+// TestHLLOrderIndependent: the estimate is a pure function of the register
+// multiset, so overlapping key sets fed in opposite orders converge to the
+// same bit-identical estimate, within tolerance of the true union.
+func TestHLLOrderIndependent(t *testing.T) {
 	a, b := NewHLL(10), NewHLL(10)
-	for i := 0; i < 500; i++ {
+	for i := 0; i < 750; i++ {
 		a.AddKey(uint64(i))
-		b.AddKey(uint64(i + 250)) // half overlap
+		b.AddKey(uint64(749 - i))
 	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
+	if a.Estimate() != b.Estimate() {
+		t.Fatalf("update order changed the estimate: %v vs %v", a.Estimate(), b.Estimate())
 	}
-	got := a.Estimate()
-	if math.Abs(got-750)/750 > 0.15 {
-		t.Errorf("merged estimate %.0f, want ~750", got)
-	}
-	var c HLL
-	if err := c.UnmarshalBinary(a.AppendBinary(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if c.Estimate() != a.Estimate() {
-		t.Fatal("hll binary round trip changed the estimate")
-	}
-	if err := a.Merge(NewHLL(8)); err == nil {
-		t.Fatal("merging mismatched precisions must fail")
+	if got := a.Estimate(); math.Abs(got-750)/750 > 0.15 {
+		t.Errorf("estimate %.0f, want ~750", got)
 	}
 	if got := HLLPrecisionFor(0.05); got < 8 || got > 12 {
 		t.Errorf("HLLPrecisionFor(0.05) = %d", got)
@@ -248,20 +220,5 @@ func TestHLLAddAllocs(t *testing.T) {
 	h := NewHLL(10)
 	if avg := testing.AllocsPerRun(500, func() { h.AddKey(42) }); avg != 0 {
 		t.Errorf("HLL.AddKey allocates %.1f objects/op, want 0", avg)
-	}
-}
-
-func TestUnmarshalRejectsGarbage(t *testing.T) {
-	garbage := [][]byte{nil, {1, 2, 3}, make([]byte, 64)}
-	for _, g := range garbage {
-		if err := new(CountMin).UnmarshalBinary(g); err == nil {
-			t.Error("count-min accepted garbage")
-		}
-		if err := new(SpaceSaving).UnmarshalBinary(g); err == nil {
-			t.Error("space-saving accepted garbage")
-		}
-		if err := new(HLL).UnmarshalBinary(g); err == nil {
-			t.Error("hll accepted garbage")
-		}
 	}
 }

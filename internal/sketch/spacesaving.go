@@ -1,10 +1,5 @@
 package sketch
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
 // Entry is one monitored key of a space-saving summary. W holds the summary's
 // (over-)estimate of the key's accumulated bytes and packets; E holds the
 // per-counter error bound inherited at admission time, so W-E is a guaranteed
@@ -183,54 +178,4 @@ func (s *SpaceSaving) Footprint() int {
 	// Entry is 48 bytes; a map slot for (uint64, int32) costs roughly 16
 	// bytes plus bucket overhead — 24 is a fair amortized figure.
 	return s.k * (48 + 24)
-}
-
-// ssMagic guards serialized SpaceSaving state.
-const ssMagic = uint32(0x5353_5331) // "SSS1"
-
-// AppendBinary serializes the summary for checkpointing.
-func (s *SpaceSaving) AppendBinary(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, ssMagic)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(s.k))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(s.primary))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s.entries)))
-	for i := range s.entries {
-		e := &s.entries[i]
-		dst = binary.BigEndian.AppendUint64(dst, e.Key)
-		dst = binary.BigEndian.AppendUint64(dst, e.W[0])
-		dst = binary.BigEndian.AppendUint64(dst, e.W[1])
-		dst = binary.BigEndian.AppendUint64(dst, e.E[0])
-		dst = binary.BigEndian.AppendUint64(dst, e.E[1])
-	}
-	return dst
-}
-
-// UnmarshalBinary restores state serialized by AppendBinary.
-func (s *SpaceSaving) UnmarshalBinary(data []byte) error {
-	if len(data) < 16 || binary.BigEndian.Uint32(data) != ssMagic {
-		return fmt.Errorf("sketch: bad space-saving header")
-	}
-	k := int(binary.BigEndian.Uint32(data[4:]))
-	primary := int(binary.BigEndian.Uint32(data[8:]))
-	n := int(binary.BigEndian.Uint32(data[12:]))
-	if k < 1 || primary > 1 || n > k || len(data)-16 != n*40 {
-		return fmt.Errorf("sketch: bad space-saving state k=%d n=%d", k, n)
-	}
-	s.k, s.primary = k, primary
-	s.entries = make([]Entry, n, k)
-	s.idx = make(map[uint64]int32, k)
-	off := 16
-	for i := range s.entries {
-		e := &s.entries[i]
-		e.Key = binary.BigEndian.Uint64(data[off:])
-		e.W[0] = binary.BigEndian.Uint64(data[off+8:])
-		e.W[1] = binary.BigEndian.Uint64(data[off+16:])
-		e.E[0] = binary.BigEndian.Uint64(data[off+24:])
-		e.E[1] = binary.BigEndian.Uint64(data[off+32:])
-		s.idx[e.Key] = int32(i)
-		off += 40
-	}
-	s.minStale = true
-	s.minIdx = 0
-	return nil
 }

@@ -235,8 +235,8 @@ fi
 # Sketch-backed aggregation (PR 6): the cardinality matrix (exact vs sketch
 # minute-flush throughput and peak aggregation heap at 1x/10x/100x/1000x the
 # 512-target baseline — the sketch heap column staying flat is the
-# bounded-memory claim) plus the GOMAXPROCS scaling matrix for the sharded
-# SPSC ingest path. Min-of-N like the other sections; the awk scans
+# bounded-memory claim) plus the scaling matrix of AggregateRecords with
+# GOMAXPROCS and Workers swept together. Min-of-N like the other sections; the awk scans
 # unit-tagged fields instead of positions because -benchmem and ReportMetric
 # ordering differ between the two benchmarks.
 tmp6=$(mktemp)
