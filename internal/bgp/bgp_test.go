@@ -11,9 +11,9 @@ import (
 )
 
 func TestCommunityPacking(t *testing.T) {
-	c := NewCommunity(65535, 666)
+	c := Community(65535<<16 | 666)
 	if c != BlackholeCommunity {
-		t.Fatalf("NewCommunity(65535, 666) = %v, want BlackholeCommunity", c)
+		t.Fatalf("65535:666 = %v, want BlackholeCommunity", c)
 	}
 	if c.ASN() != 65535 || c.Value() != 666 {
 		t.Errorf("ASN/Value = %d/%d", c.ASN(), c.Value())
@@ -54,7 +54,7 @@ func TestUpdateRoundTrip(t *testing.T) {
 		Communities: []Community{
 			BlackholeCommunity,
 			NoExportCommunity,
-			NewCommunity(64500, 1),
+			Community(64500<<16 | 1),
 		},
 		NLRI: []netip.Prefix{
 			netip.MustParsePrefix("198.51.100.7/32"),
@@ -117,7 +117,7 @@ func TestKeepaliveAndNotification(t *testing.T) {
 	if err != nil || msg.Type != TypeKeepalive {
 		t.Fatalf("keepalive: %v %+v", err, msg)
 	}
-	nbuf, err := AppendNotification(nil, &Notification{Code: 6, Subcode: 2, Data: []byte("bye")})
+	nbuf, err := finishMessage(append(appendHeader(nil, TypeNotification), 6, 2, 'b', 'y', 'e'))
 	if err != nil {
 		t.Fatal(err)
 	}

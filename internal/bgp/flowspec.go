@@ -16,18 +16,15 @@ import (
 
 // FlowSpec component types (RFC 8955 §4.2.2).
 const (
-	FSDstPrefix   = 1
-	FSSrcPrefix   = 2
-	FSIPProtocol  = 3
-	FSPort        = 4
-	FSDstPort     = 5
-	FSSrcPort     = 6
-	FSICMPType    = 7
-	FSICMPCode    = 8
-	FSTCPFlags    = 9
-	FSPacketLen   = 10
-	FSDSCP        = 11
-	FSFragment    = 12
+	FSDstPrefix  = 1
+	FSSrcPrefix  = 2
+	FSIPProtocol = 3
+	FSPort       = 4
+	FSDstPort    = 5
+	FSSrcPort    = 6
+	FSTCPFlags   = 9
+	FSPacketLen  = 10
+	FSFragment   = 12
 )
 
 // Numeric operator bits (RFC 8955 §4.2.1.1).
@@ -42,8 +39,6 @@ const (
 // Fragment bitmask operator values (§4.2.2.12).
 const (
 	FragIsFragment = 0x02 // IsF: not the first fragment
-	FragFirst      = 0x04
-	FragLast       = 0x08
 )
 
 // NumericMatch is one (operator, value) pair of a numeric component.

@@ -49,11 +49,6 @@ const NoExportCommunity Community = 0xFFFFFF01
 // 32 bits).
 type Community uint32
 
-// NewCommunity packs asn:value.
-func NewCommunity(asn, value uint16) Community {
-	return Community(uint32(asn)<<16 | uint32(value))
-}
-
 // ASN returns the upper half of the community.
 func (c Community) ASN() uint16 { return uint16(c >> 16) }
 
@@ -164,14 +159,6 @@ func AppendKeepalive(buf []byte) []byte {
 	buf = appendHeader(buf, TypeKeepalive)
 	out, _ := finishMessage(buf)
 	return out
-}
-
-// AppendNotification appends an encoded NOTIFICATION message to buf.
-func AppendNotification(buf []byte, n *Notification) ([]byte, error) {
-	buf = appendHeader(buf, TypeNotification)
-	buf = append(buf, n.Code, n.Subcode)
-	buf = append(buf, n.Data...)
-	return finishMessage(buf)
 }
 
 func appendPrefix(buf []byte, p netip.Prefix) ([]byte, error) {

@@ -25,14 +25,15 @@ const DefaultMaxAttempts = 8
 // session are gone and must be re-announced.
 //
 // All methods serialize on an internal mutex; reconnects use capped
-// exponential backoff with seeded jitter so a flapping route server is not
-// hammered in lockstep by every member.
+// exponential backoff, so a flapping route server is not redialed in a
+// tight loop.
 type Persistent struct {
 	// Addr is the route server address, dialed on demand.
 	Addr string
 	// Local is this member's OPEN message.
 	Local Open
-	// Backoff paces reconnect attempts. Nil means NewBackoff(0) defaults.
+	// Backoff paces reconnect attempts. Nil means the zero par.Backoff's
+	// defaults.
 	// The backoff's Sleep hook is what makes chaos tests instantaneous.
 	Backoff *par.Backoff
 	// MaxAttempts bounds session establishments per operation; 0 means
@@ -109,7 +110,7 @@ func (p *Persistent) dial(ctx context.Context) (*Conn, error) {
 
 func (p *Persistent) backoff() *par.Backoff {
 	if p.Backoff == nil {
-		p.Backoff = par.NewBackoff(uint64(p.Local.ASN))
+		p.Backoff = &par.Backoff{}
 	}
 	return p.Backoff
 }

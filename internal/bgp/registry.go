@@ -148,9 +148,3 @@ func (r *Registry) PrefixCount() int {
 	defer r.mu.RUnlock()
 	return len(r.byPrefix)
 }
-
-// Matcher returns a label function suitable for the collector hot path.
-// The returned closure snapshots nothing; it consults the live registry.
-func (r *Registry) Matcher() func(ip netip.Addr, at int64) bool {
-	return r.Covered
-}

@@ -167,7 +167,7 @@ type RouteServer struct {
 	Metrics *ServerMetrics
 	// AcceptBackoff paces retries after transient Accept failures (e.g.
 	// EMFILE under fd pressure) instead of tearing the server down. Nil
-	// means par.NewBackoff(0) defaults. DefaultMaxAttempts consecutive
+	// means the zero par.Backoff's defaults. DefaultMaxAttempts consecutive
 	// failures are treated as a dead listener.
 	AcceptBackoff *par.Backoff
 
@@ -211,7 +211,7 @@ func (s *RouteServer) Serve(ctx context.Context, ln net.Listener) error {
 	}()
 
 	if s.AcceptBackoff == nil {
-		s.AcceptBackoff = par.NewBackoff(uint64(s.ASN))
+		s.AcceptBackoff = &par.Backoff{}
 	}
 	for {
 		nc, err := ln.Accept()

@@ -22,6 +22,10 @@
 //   - lock-step settling — the harness drains the collector and the
 //     ingest queue between simulated minutes, so batch boundaries (and
 //     therefore drop decisions under backpressure) are reproducible.
+//
+// The package is test support: no production package imports it, so the
+// reachability gate (reach_test.go) roots all of its declarations instead
+// of asking a main to reach them.
 package chaos
 
 import (

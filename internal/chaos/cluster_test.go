@@ -2,6 +2,7 @@ package chaos_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -96,8 +97,8 @@ func TestClusterCrashRestartConvergesToReference(t *testing.T) {
 	// Post-crash traffic is bit-identical: the generators, balancer RNG
 	// streams and windows all resumed mid-sequence.
 	boundary := int64(cluster.DefaultStartMin) + crashAt
-	if got, want := restOut.DigestsFrom(boundary), refOut.DigestsFrom(boundary); got != want {
-		t.Errorf("post-restart kept-stream digests diverge from fault-free reference:\n--- restarted\n%s--- reference\n%s", got, want)
+	if got, want := digestsFrom(restOut, boundary), digestsFrom(refOut, boundary); !reflect.DeepEqual(got, want) {
+		t.Errorf("post-restart kept-stream digests diverge from fault-free reference:\n--- restarted\n%v\n--- reference\n%v", got, want)
 	}
 
 	// The final training round and election are bit-identical.
@@ -276,4 +277,19 @@ func TestClusterTornImport(t *testing.T) {
 	if c.Sites()[0].Pipeline().ChampionScrubber() == nil {
 		t.Error("victim site stopped serving after torn imports")
 	}
+}
+
+// digestsFrom returns every site's per-minute kept-stream digests at or
+// after the absolute minute from.
+func digestsFrom(o *cluster.Outcome, from int64) []map[int64]uint64 {
+	out := make([]map[int64]uint64, len(o.Sites))
+	for i, so := range o.Sites {
+		out[i] = map[int64]uint64{}
+		for m, d := range so.Digests {
+			if m >= from {
+				out[i][m] = d
+			}
+		}
+	}
+	return out
 }

@@ -278,9 +278,6 @@ func (c *Cluster) Sites() []*Site { return c.sites }
 // Minute reports the number of relative minutes completed.
 func (c *Cluster) Minute() int64 { return c.minute }
 
-// Now reports the virtual clock (unix seconds).
-func (c *Cluster) Now() int64 { return c.clock.Now() }
-
 // Step simulates one minute: every site generates its profile's traffic,
 // all of it is routed through the target-IP partitioner to the owning
 // site's ingest shard, and the step returns only once every pipeline has

@@ -31,15 +31,12 @@ func fitScrubberForInto(t *testing.T) (*Scrubber, [][]float64) {
 	return s, s.EncodeFeatures(test)
 }
 
-// TestPredictEncodedIntoMatches pins the buffer-reuse serving path to
-// PredictEncoded verdict for verdict, fitted and after a bundle
-// round-trip.
+// TestPredictEncodedIntoMatches pins the buffer-reuse serving path to the
+// allocating pipeline Predict verdict for verdict, fitted and after a
+// bundle round-trip.
 func TestPredictEncodedIntoMatches(t *testing.T) {
 	s, x := fitScrubberForInto(t)
-	want, err := s.PredictEncoded(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := s.pipeline.Predict(x)
 	out := make([]int, len(x))
 	for pass := 0; pass < 2; pass++ {
 		if err := s.PredictEncodedInto(x, out); err != nil {
@@ -47,7 +44,7 @@ func TestPredictEncodedIntoMatches(t *testing.T) {
 		}
 		for i := range want {
 			if out[i] != want[i] {
-				t.Fatalf("pass %d row %d: Into %d != PredictEncoded %d", pass, i, out[i], want[i])
+				t.Fatalf("pass %d row %d: Into %d != Predict %d", pass, i, out[i], want[i])
 			}
 		}
 	}

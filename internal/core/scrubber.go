@@ -130,9 +130,6 @@ func (s *Scrubber) Config() Config { return s.cfg }
 // Rules exposes the curated rule set.
 func (s *Scrubber) Rules() *tagging.RuleSet { return s.rules }
 
-// Tagger returns the current accepted-rule tagger.
-func (s *Scrubber) Tagger() *tagging.Tagger { return s.tagger }
-
 // Encoder exposes the WoE encoder (the local knowledge of this vantage
 // point).
 func (s *Scrubber) Encoder() *woe.Encoder { return s.encoder }
@@ -320,35 +317,20 @@ func (s *Scrubber) EncodeFeatures(aggs []*features.Aggregate) [][]float64 {
 	return s.encodeAll(aggs)
 }
 
-// PredictEncoded labels pre-encoded rows produced by EncodeFeatures with a
-// compatible encoder. It skips the encode stage entirely, which is what
-// keeps shadow scoring under 2× the champion-only cost: the challenger
-// shares the champion window's encoded matrix.
-func (s *Scrubber) PredictEncoded(x [][]float64) ([]int, error) {
-	if !s.fitted {
-		return nil, fmt.Errorf("core: model not fitted")
-	}
-	if s.pipeline == nil {
-		return nil, fmt.Errorf("core: PredictEncoded requires a pipeline model, have %s", s.cfg.Model)
-	}
-	start := time.Now()
-	out := s.pipeline.Predict(x)
-	s.metrics.observePredict(start, out)
-	return out, nil
-}
-
-// PredictEncodedInto labels pre-encoded rows into out (len(out) ==
-// len(x)) — PredictEncoded without the per-call slice: with a pipeline
-// whose stages and model are Into-capable (the xgb default is), the
-// serving path allocates nothing once the pipeline scratch has grown to
-// the window size. Not safe for concurrent use with itself; see
+// PredictEncodedInto labels pre-encoded rows produced by EncodeFeatures
+// with a compatible encoder into out (len(out) == len(x)). It skips the
+// encode stage entirely, which is what keeps shadow scoring under 2× the
+// champion-only cost: the challenger shares the champion window's encoded
+// matrix. With a pipeline whose stages and model are Into-capable (the xgb
+// default is), the serving path allocates nothing once the pipeline
+// scratch has grown to the window size. Not safe for concurrent use with itself; see
 // ml.Pipeline.PredictInto.
 func (s *Scrubber) PredictEncodedInto(x [][]float64, out []int) error {
 	if !s.fitted {
 		return fmt.Errorf("core: model not fitted")
 	}
 	if s.pipeline == nil {
-		return fmt.Errorf("core: PredictEncoded requires a pipeline model, have %s", s.cfg.Model)
+		return fmt.Errorf("core: PredictEncodedInto requires a pipeline model, have %s", s.cfg.Model)
 	}
 	if len(out) != len(x) {
 		return fmt.Errorf("core: PredictEncodedInto needs %d output slots, have %d", len(x), len(out))

@@ -196,13 +196,13 @@ func TestPredictEncodedMatchesPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := s.EncodeFeatures(test)
-	got, err := s.PredictEncoded(x)
-	if err != nil {
+	got := make([]int, len(x))
+	if err := s.PredictEncodedInto(x, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("aggregate %d: PredictEncoded %d != Predict %d", i, got[i], want[i])
+			t.Fatalf("aggregate %d: PredictEncodedInto %d != Predict %d", i, got[i], want[i])
 		}
 	}
 }

@@ -139,9 +139,6 @@ func NewReference(x [][]float64, preds []int, cfg Config) (*Reference, error) {
 	return r, nil
 }
 
-// Columns returns the number of feature columns the reference covers.
-func (r *Reference) Columns() int { return r.cols }
-
 // quantileEdges picks bins-1 ascending cut points from sorted values.
 // Duplicate quantiles collapse (constant columns yield zero usable edges;
 // every value then lands in bin 0 and contributes no PSI).
@@ -247,9 +244,6 @@ func NewMonitor(cfg Config) *Monitor {
 	return &Monitor{cfg: cfg.withDefaults()}
 }
 
-// Config returns the monitor's effective (defaulted) configuration.
-func (m *Monitor) Config() Config { return m.cfg }
-
 // SetReference installs the champion's training reference and resets every
 // accumulator — a promotion starts a fresh comparison window. A nil
 // reference disables accumulation.
@@ -353,17 +347,6 @@ func (m *Monitor) Stats() Stats {
 		s.RetrainRecommended = true
 	}
 	return s
-}
-
-// PSI computes the Population Stability Index between an expected and an
-// actual count histogram — exported for the temporal experiment, which
-// compares eval-window feature histograms against a train-window reference
-// offline.
-func PSI(expected, actual []uint64) float64 {
-	if len(expected) != len(actual) {
-		return math.NaN()
-	}
-	return psiFromCounts(expected, actual)
 }
 
 // FeaturePSI computes per-column PSI of a matrix against the reference

@@ -520,16 +520,3 @@ func (p *Program) Len() int { return len(p.rules) }
 
 // Action returns the action of rule idx.
 func (p *Program) Action(idx int) acl.Action { return p.rules[idx].Action }
-
-// CompileNanos reports how long Compile took for this program.
-func (p *Program) CompileNanos() int64 { return p.compileNS }
-
-// RuleHits returns the per-rule match-hit counters accumulated while this
-// program was live, aligned with Rules().
-func (p *Program) RuleHits() []uint64 {
-	out := make([]uint64, len(p.hits))
-	for i := range p.hits {
-		out[i] = p.hits[i].Load()
-	}
-	return out
-}

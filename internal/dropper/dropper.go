@@ -13,8 +13,8 @@
 // model as the WoE snapshot), so recompile + hot swap never pauses ingest.
 //
 // Because the actuated rule set must stay explainable and auditable, the
-// naive per-rule reference interpreter (Interpreter) is preserved
-// alongside the compiler and the two are pinned bit-for-bit by the
+// tests keep a naive per-rule reference interpreter (Interpreter, in
+// interp_test.go) and pin the compiler to it bit-for-bit in the
 // equivalence, property and fuzz suites: the fast path can never silently
 // diverge from the rules it claims to enforce.
 package dropper
@@ -23,7 +23,6 @@ import (
 	"net/netip"
 
 	"github.com/ixp-scrubber/ixpscrubber/internal/acl"
-	"github.com/ixp-scrubber/ixpscrubber/internal/netflow"
 	"github.com/ixp-scrubber/ixpscrubber/internal/tagging"
 )
 
@@ -36,7 +35,7 @@ import (
 // values are tagging.PortValue classes (literal retained ports or
 // tagging.PortOther), the size condition names a tagging.SizeBin bin, and
 // port conditions never hold for fragmented records (fragments carry no
-// trustworthy ports — the same rule tagging.MatchRecord applies).
+// trustworthy ports — the same rule a tagging antecedent applies).
 type Rule struct {
 	// ID labels the rule in counters and serialized programs. Entries
 	// derived from the same curated tagging rule share an ID; per-rule
@@ -77,45 +76,15 @@ type Rule struct {
 	Dead bool
 }
 
-// matches is the single source of truth for rule semantics: the reference
-// interpreter calls it per rule, and the compiler's lookup tables are
-// equivalence-tested against it.
-func (r *Rule) matches(rec *netflow.Record) bool {
-	if r.Dead {
-		return false
-	}
-	if r.ProtoSet && uint32(rec.Protocol) != r.Proto {
-		return false
-	}
-	if r.SrcPortSet && (rec.Fragment || tagging.PortValue(rec.SrcPort) != r.SrcPort) {
-		return false
-	}
-	if r.DstPortSet && (rec.Fragment || tagging.PortValue(rec.DstPort) != r.DstPort) {
-		return false
-	}
-	if r.SizeBinSet && tagging.SizeBin(rec.MeanPacketSize()) != r.SizeBin {
-		return false
-	}
-	if r.Fragment && !rec.Fragment {
-		return false
-	}
-	if r.Dst.IsValid() && !r.Dst.Contains(rec.DstIP) {
-		return false
-	}
-	if r.Src.IsValid() && !r.Src.Contains(rec.SrcIP) {
-		return false
-	}
-	return true
-}
-
 // FromEntry lowers one ACL entry — a curated tagging rule scoped to a
-// classified target — into a drop-program rule with identical semantics:
-// Rule.matches(rec) == Entry.Matches(rec) for every record.
+// classified target — into a drop-program rule with identical semantics: a
+// record matches when the target contains its destination and it carries
+// every antecedent item.
 func FromEntry(e *acl.Entry) Rule {
 	r := Rule{ID: e.Rule.ID, Action: e.Action, Dst: e.Target}
 	set := func(cur *uint32, has *bool, v uint32) {
 		if *has && *cur != v {
-			// Two different values for one field: tagging.MatchRecord
+			// Two different values for one field: a tagging antecedent
 			// requires both, so the conjunction is unsatisfiable.
 			r.Dead = true
 			return
@@ -135,7 +104,7 @@ func FromEntry(e *acl.Entry) Rule {
 		case tagging.FieldFragment:
 			r.Fragment = true
 		default:
-			// Unknown fields never match in tagging.MatchRecord.
+			// Unknown fields never match in a tagging antecedent.
 			r.Dead = true
 		}
 	}
@@ -150,28 +119,4 @@ func FromEntries(entries []acl.Entry) []Rule {
 		out[i] = FromEntry(&entries[i])
 	}
 	return out
-}
-
-// Interpreter is the naive per-rule reference matcher: a linear
-// first-match scan calling Rule.matches. It is deliberately boring — it
-// exists so the compiled Program has an independently-reviewable ground
-// truth to be equivalence-tested against, and it is what the fuzz and
-// property suites compare every compiled program to.
-type Interpreter struct {
-	rules []Rule
-}
-
-// NewInterpreter copies the rules into a reference matcher.
-func NewInterpreter(rules []Rule) *Interpreter {
-	return &Interpreter{rules: append([]Rule(nil), rules...)}
-}
-
-// Match returns the index of the first matching rule, or -1.
-func (in *Interpreter) Match(rec *netflow.Record) int {
-	for i := range in.rules {
-		if in.rules[i].matches(rec) {
-			return i
-		}
-	}
-	return -1
 }

@@ -29,9 +29,6 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// DefaultConfig runs full-size experiments.
-func DefaultConfig() Config { return Config{Scale: 1.0, Seed: 1} }
-
 // coreDefaults is core.DefaultConfig with the harness worker knob threaded
 // through, so scrubbers built inside experiments share the pool sizing.
 func (c Config) coreDefaults() core.Config {
@@ -66,14 +63,6 @@ type corpus struct {
 	rawBHBytes     uint64
 	minuteShares   []float64 // per-minute blackhole byte share (Fig. 3a)
 	fromMin, toMin int64
-}
-
-func (c *corpus) records() ([]synth.Flow, []string) {
-	vectors := make([]string, len(c.balanced))
-	for i := range c.balanced {
-		vectors[i] = c.balanced[i].Vector
-	}
-	return c.balanced, vectors
 }
 
 // buildCorpus streams the generator through the balancer, collecting the

@@ -56,8 +56,6 @@ type Series struct {
 	Name string
 	X    []float64
 	Y    []float64
-	// XLabels optionally replaces numeric X values in rendering (dates).
-	XLabels []string
 }
 
 // Render formats the result for terminals and EXPERIMENTS.md.
@@ -120,11 +118,7 @@ func renderSeries(s *Series) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "-- series %s --\n", s.Name)
 	for i := range s.Y {
-		x := fmt.Sprintf("%g", s.X[i])
-		if s.XLabels != nil && i < len(s.XLabels) {
-			x = s.XLabels[i]
-		}
-		fmt.Fprintf(&b, "%16s  %.4f\n", x, s.Y[i])
+		fmt.Fprintf(&b, "%16s  %.4f\n", fmt.Sprintf("%g", s.X[i]), s.Y[i])
 	}
 	return b.String()
 }

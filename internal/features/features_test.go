@@ -224,7 +224,7 @@ func TestObserveRecordsMatchesPerRecord(t *testing.T) {
 	}
 	empty := woe.NewEncoder()
 	ObserveRecords(empty, nil)
-	if gotBytes, _ := state(empty); gotBytes != `{"pos_total":0,"neg_total":0,"domains":{}}`+"\n" || len(empty.Domains()) != 0 {
+	if gotBytes, _ := state(empty); gotBytes != `{"pos_total":0,"neg_total":0,"domains":{}}`+"\n" {
 		t.Fatalf("empty batch changed the encoder: %s", gotBytes)
 	}
 }

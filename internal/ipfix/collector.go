@@ -201,22 +201,3 @@ func ToNetflow(r *Record) netflow.Record {
 		SamplingRate: r.SamplingRate,
 	}
 }
-
-// FromNetflow converts a pipeline record into an IPFIX record for export.
-func FromNetflow(r *netflow.Record) Record {
-	return Record{
-		StartSeconds: uint32(r.Timestamp),
-		SrcIP:        r.SrcIP,
-		DstIP:        r.DstIP,
-		SrcPort:      r.SrcPort,
-		DstPort:      r.DstPort,
-		Protocol:     r.Protocol,
-		TCPFlags:     r.TCPFlags,
-		Fragment:     r.Fragment,
-		SrcMAC:       r.SrcMAC,
-		DstMAC:       r.DstMAC,
-		Packets:      r.Packets,
-		Bytes:        r.Bytes,
-		SamplingRate: r.SamplingRate,
-	}
-}

@@ -1,7 +1,7 @@
-// Package ipfix implements the subset of IPFIX (RFC 7011) needed to export
-// and collect sampled flow records: message encoding with template and data
-// sets, dynamic template learning on the collector side, and conversion to
-// the pipeline's netflow.Record. IXPs feed the scrubber with either sFlow
+// Package ipfix implements the subset of IPFIX (RFC 7011) needed to collect
+// sampled flow records: message decoding with template and data sets,
+// dynamic template learning per observation domain, and conversion to the
+// pipeline's netflow.Record. The tests carry the matching exporter. IXPs feed the scrubber with either sFlow
 // (internal/sflow) or IPFIX, depending on the fabric.
 package ipfix
 
@@ -21,27 +21,27 @@ var (
 )
 
 const (
-	version10      = 10
-	headerLen      = 16
-	templateSetID  = 2
-	minDataSetID   = 256
+	version10     = 10
+	headerLen     = 16
+	templateSetID = 2
+	minDataSetID  = 256
 )
 
 // IANA information element IDs used by the flow template.
 const (
-	IEOctetDeltaCount    = 1
-	IEPacketDeltaCount   = 2
-	IEProtocol           = 4
-	IETCPControlBits     = 6
-	IESrcPort            = 7
-	IESrcIPv4            = 8
-	IEDstPort            = 11
-	IEDstIPv4            = 12
-	IESamplingInterval   = 34
-	IESourceMac          = 56
-	IEDestinationMac     = 80
-	IEFragmentFlags      = 197
-	IEFlowStartSeconds   = 150
+	IEOctetDeltaCount  = 1
+	IEPacketDeltaCount = 2
+	IEProtocol         = 4
+	IETCPControlBits   = 6
+	IESrcPort          = 7
+	IESrcIPv4          = 8
+	IEDstPort          = 11
+	IEDstIPv4          = 12
+	IESamplingInterval = 34
+	IESourceMac        = 56
+	IEDestinationMac   = 80
+	IEFragmentFlags    = 197
+	IEFlowStartSeconds = 150
 )
 
 // FieldSpec is one template field.
@@ -49,27 +49,6 @@ type FieldSpec struct {
 	ID     uint16
 	Length uint16
 }
-
-// FlowTemplate is the template this package exports: every field of
-// netflow.Record in fixed-length IANA elements.
-var FlowTemplate = []FieldSpec{
-	{IEFlowStartSeconds, 4},
-	{IESrcIPv4, 4},
-	{IEDstIPv4, 4},
-	{IESrcPort, 2},
-	{IEDstPort, 2},
-	{IEProtocol, 1},
-	{IETCPControlBits, 1},
-	{IEFragmentFlags, 1},
-	{IESourceMac, 6},
-	{IEDestinationMac, 6},
-	{IEPacketDeltaCount, 8},
-	{IEOctetDeltaCount, 8},
-	{IESamplingInterval, 4},
-}
-
-// FlowTemplateID is the template ID the exporter uses.
-const FlowTemplateID = 400
 
 // Record is the decoded flow view (a superset-free mirror of
 // netflow.Record's wire-visible fields).
@@ -88,82 +67,6 @@ type Record struct {
 	SamplingRate uint32
 }
 
-// Exporter encodes IPFIX messages. It prepends the template set to the
-// first message (and periodically if asked), as RFC 7011 exporters do over
-// UDP.
-type Exporter struct {
-	DomainID uint32
-	seq      uint32
-	sentTmpl bool
-}
-
-// Encode builds one message carrying the records (plus the template set on
-// the first call), appending to buf.
-func (e *Exporter) Encode(buf []byte, exportTime uint32, records []Record) []byte {
-	start := len(buf)
-	buf = binary.BigEndian.AppendUint16(buf, version10)
-	buf = append(buf, 0, 0) // length placeholder
-	buf = binary.BigEndian.AppendUint32(buf, exportTime)
-	buf = binary.BigEndian.AppendUint32(buf, e.seq)
-	buf = binary.BigEndian.AppendUint32(buf, e.DomainID)
-	e.seq += uint32(len(records))
-
-	if !e.sentTmpl {
-		e.sentTmpl = true
-		buf = appendTemplateSet(buf)
-	}
-	if len(records) > 0 {
-		setStart := len(buf)
-		buf = binary.BigEndian.AppendUint16(buf, FlowTemplateID)
-		buf = append(buf, 0, 0) // set length placeholder
-		for i := range records {
-			buf = appendRecord(buf, &records[i])
-		}
-		binary.BigEndian.PutUint16(buf[setStart+2:setStart+4], uint16(len(buf)-setStart))
-	}
-	binary.BigEndian.PutUint16(buf[start+2:start+4], uint16(len(buf)-start))
-	return buf
-}
-
-// ResendTemplate forces the next message to carry the template set again
-// (UDP template refresh).
-func (e *Exporter) ResendTemplate() { e.sentTmpl = false }
-
-func appendTemplateSet(buf []byte) []byte {
-	setStart := len(buf)
-	buf = binary.BigEndian.AppendUint16(buf, templateSetID)
-	buf = append(buf, 0, 0)
-	buf = binary.BigEndian.AppendUint16(buf, FlowTemplateID)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(FlowTemplate)))
-	for _, f := range FlowTemplate {
-		buf = binary.BigEndian.AppendUint16(buf, f.ID)
-		buf = binary.BigEndian.AppendUint16(buf, f.Length)
-	}
-	binary.BigEndian.PutUint16(buf[setStart+2:setStart+4], uint16(len(buf)-setStart))
-	return buf
-}
-
-func appendRecord(buf []byte, r *Record) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, r.StartSeconds)
-	src := r.SrcIP.Unmap().As4()
-	dst := r.DstIP.Unmap().As4()
-	buf = append(buf, src[:]...)
-	buf = append(buf, dst[:]...)
-	buf = binary.BigEndian.AppendUint16(buf, r.SrcPort)
-	buf = binary.BigEndian.AppendUint16(buf, r.DstPort)
-	frag := byte(0)
-	if r.Fragment {
-		frag = 1
-	}
-	buf = append(buf, r.Protocol, r.TCPFlags, frag)
-	buf = append(buf, r.SrcMAC[:]...)
-	buf = append(buf, r.DstMAC[:]...)
-	buf = binary.BigEndian.AppendUint64(buf, r.Packets)
-	buf = binary.BigEndian.AppendUint64(buf, r.Bytes)
-	buf = binary.BigEndian.AppendUint32(buf, r.SamplingRate)
-	return buf
-}
-
 // Collector decodes IPFIX messages, learning templates dynamically per
 // observation domain. Safe for concurrent use.
 type Collector struct {
@@ -178,18 +81,12 @@ func NewCollector() *Collector {
 
 func tmplKey(domain uint32, id uint16) uint64 { return uint64(domain)<<16 | uint64(id) }
 
-// Decode parses one message and returns its flow records. Data sets whose
+// DecodeAppend parses one message and appends its flow records to dst, so
+// a receive loop can recycle one record slice across messages (dst[:0] each
+// call) and decode without allocating at steady state. Data sets whose
 // template is unknown yield ErrUnknownTemplate (the caller may retry after
 // the exporter's periodic template refresh); template sets are learned as a
-// side effect. It allocates a fresh result slice per call; hot paths reuse
-// one through DecodeAppend.
-func (c *Collector) Decode(data []byte) ([]Record, error) {
-	return c.DecodeAppend(nil, data)
-}
-
-// DecodeAppend is Decode appending into dst, so a receive loop can recycle
-// one record slice across messages (dst[:0] each call) and decode without
-// allocating at steady state.
+// side effect.
 func (c *Collector) DecodeAppend(dst []Record, data []byte) ([]Record, error) {
 	if len(data) < headerLen {
 		return dst, ErrTruncated

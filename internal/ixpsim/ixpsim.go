@@ -30,8 +30,6 @@ type Config struct {
 	FromMin, ToMin int64
 	// BatchSize is the number of flow samples per sFlow datagram.
 	BatchSize int
-	// Log receives progress; nil silences it.
-	Log *slog.Logger
 }
 
 // Result carries what the simulation produced.
@@ -60,10 +58,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 16
 	}
-	log := cfg.Log
-	if log == nil {
-		log = slog.New(slog.DiscardHandler)
-	}
+	log := slog.New(slog.DiscardHandler)
 
 	// Route server.
 	rsLn, err := net.Listen("tcp", "127.0.0.1:0")

@@ -139,15 +139,6 @@ func (p *Pipeline) ActiveModel() (uint64, string) {
 	return 0, ""
 }
 
-// Challenger reports the shadow model's sequence and registry id (0, ""
-// when none is installed).
-func (p *Pipeline) Challenger() (uint64, string) {
-	if ch := p.challenger.Load(); ch != nil {
-		return ch.seq, ch.id
-	}
-	return 0, ""
-}
-
 // DriftStats snapshots the serving-path drift monitor.
 func (p *Pipeline) DriftStats() drift.Stats {
 	return p.monitor.Stats()
@@ -220,7 +211,7 @@ func windowBounds(records []netflow.Record) (int64, int64) {
 func (p *Pipeline) buildCandidate(ctx context.Context, s *core.Scrubber, x [][]float64, pred []int, records []netflow.Record) (*served, error) {
 	cand := &served{s: s}
 	if x != nil {
-		if ref, err := drift.NewReference(x, pred, p.cfg.Drift); err == nil {
+		if ref, err := drift.NewReference(x, pred, drift.Config{}); err == nil {
 			cand.ref = ref
 		}
 	}
@@ -311,18 +302,15 @@ func (p *Pipeline) promoteLocked(ctx context.Context, cand *served) {
 		p.lm.activeSeq.Set(float64(cand.seq))
 	}
 	if p.cfg.Registry != nil {
-		p.cfg.Registry.GC(p.registryKeep())
+		p.cfg.Registry.GC(registryKeep)
 	}
 	p.cfg.Log.Info("model promoted",
 		"seq", cand.seq, "id", cand.id, "imported", cand.imported)
 }
 
-func (p *Pipeline) registryKeep() int {
-	if p.cfg.RegistryKeep > 0 {
-		return p.cfg.RegistryKeep
-	}
-	return 3
-}
+// registryKeep is how many unpinned, non-champion versions registry GC
+// retains after each promotion.
+const registryKeep = 3
 
 // PromoteChallenger promotes the current challenger immediately — the
 // operator override for a challenger whose disagreement keeps it from

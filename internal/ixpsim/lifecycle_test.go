@@ -639,8 +639,8 @@ func BenchmarkScoringWithShadow(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		challPred, err := ch.PredictEncoded(x)
-		if err != nil {
+		challPred := make([]int, len(x))
+		if err := ch.PredictEncodedInto(x, challPred); err != nil {
 			b.Fatal(err)
 		}
 		n := 0
@@ -673,4 +673,13 @@ func BenchmarkPSIUpdate(b *testing.B) {
 		m.ObserveFeatures(x)
 		m.ObserveScores(pred)
 	}
+}
+
+// Challenger reports the shadow model's sequence and registry id (0, ""
+// when none is installed).
+func (p *Pipeline) Challenger() (uint64, string) {
+	if ch := p.challenger.Load(); ch != nil {
+		return ch.seq, ch.id
+	}
+	return 0, ""
 }

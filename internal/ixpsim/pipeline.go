@@ -83,12 +83,6 @@ type PipelineConfig struct {
 	// Promotion tunes challenger auto-promotion; zero value means 1 shadow
 	// round and ≤2% disagreement.
 	Promotion PromotionPolicy
-	// Drift sets the drift-monitor thresholds; zero value means
-	// drift.DefaultConfig.
-	Drift drift.Config
-	// RegistryKeep is how many unpinned, non-champion versions registry GC
-	// retains after each promotion; 0 means 3.
-	RegistryKeep int
 
 	// Drop enables the compiled mitigation fast path: an inline
 	// dropper.Stage between the collectors and the ingest queue. After
@@ -252,7 +246,7 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 		queue:   netflow.NewQueue(cfg.QueueCap, cfg.DropPolicy),
 		trainer: core.New(coreCfg),
 		writer:  &acl.Writer{FS: cfg.FS, Log: cfg.Log},
-		monitor: drift.NewMonitor(cfg.Drift),
+		monitor: drift.NewMonitor(drift.Config{}),
 	}
 	p.bal = balance.ForRecords(cfg.Seed, p.keep)
 	if cfg.Drop {
@@ -477,7 +471,7 @@ func (p *Pipeline) trainAndClassify(ctx context.Context, records []netflow.Recor
 			// registry backing rather than serving nothing.
 			cand = &served{s: s, seq: p.nextSeq(nil)}
 			if x != nil {
-				if ref, rerr := drift.NewReference(x, candPred, p.cfg.Drift); rerr == nil {
+				if ref, rerr := drift.NewReference(x, candPred, drift.Config{}); rerr == nil {
 					cand.ref = ref
 				}
 			}

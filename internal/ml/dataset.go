@@ -39,28 +39,6 @@ func NewDataset(x [][]float64, y []int, names []string) (*Dataset, error) {
 // Len returns the number of rows.
 func (d *Dataset) Len() int { return len(d.X) }
 
-// Cols returns the number of feature columns.
-func (d *Dataset) Cols() int {
-	if len(d.X) == 0 {
-		return 0
-	}
-	return len(d.X[0])
-}
-
-// PositiveShare returns the fraction of label-1 rows.
-func (d *Dataset) PositiveShare() float64 {
-	if len(d.Y) == 0 {
-		return 0
-	}
-	n := 0
-	for _, y := range d.Y {
-		if y == 1 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(d.Y))
-}
-
 // Subset returns the dataset restricted to the given row indices; the rows
 // alias the parent.
 func (d *Dataset) Subset(idx []int) *Dataset {
@@ -71,14 +49,6 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 		y[i] = d.Y[j]
 	}
 	return &Dataset{X: x, Y: y, Names: d.Names}
-}
-
-// Split shuffles row indices with the seed and splits them into a train set
-// of trainFrac and a test set of the remainder (the paper's 2/3-1/3 split).
-func (d *Dataset) Split(seed uint64, trainFrac float64) (train, test *Dataset) {
-	idx := rand.New(rand.NewPCG(seed, seed^0xA0761D6478BD642F)).Perm(d.Len())
-	cut := int(float64(d.Len()) * trainFrac)
-	return d.Subset(idx[:cut]), d.Subset(idx[cut:])
 }
 
 // Folds partitions row indices into k shuffled folds for cross-validation;
@@ -114,14 +84,4 @@ func (d *Dataset) Sample(seed uint64, n int) *Dataset {
 	}
 	idx := rand.New(rand.NewPCG(seed, seed+7)).Perm(d.Len())[:n]
 	return d.Subset(idx)
-}
-
-// Clone deep-copies the feature matrix (transformers that mutate in place
-// operate on clones).
-func (d *Dataset) Clone() *Dataset {
-	x := make([][]float64, len(d.X))
-	for i := range d.X {
-		x[i] = append([]float64(nil), d.X[i]...)
-	}
-	return &Dataset{X: x, Y: append([]int(nil), d.Y...), Names: d.Names}
 }

@@ -163,8 +163,3 @@ func (m *Model) Predict(x [][]float64) []int {
 	}
 	return out
 }
-
-// Weights exposes the learned hyperplane for explainability.
-func (m *Model) Weights() ([]float64, float64) {
-	return append([]float64(nil), m.w...), m.b
-}

@@ -80,7 +80,7 @@ func TestWeightsExposed(t *testing.T) {
 	if err := m.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	w, _ := m.Weights()
+	w := m.w
 	if len(w) != 3 {
 		t.Fatalf("weights len = %d", len(w))
 	}
@@ -102,8 +102,8 @@ func TestDeterminism(t *testing.T) {
 	if err := m2.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	w1, b1 := m1.Weights()
-	w2, b2 := m2.Weights()
+	w1, b1 := m1.w, m1.b
+	w2, b2 := m2.w, m2.b
 	if b1 != b2 {
 		t.Error("bias differs")
 	}

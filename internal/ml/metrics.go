@@ -44,12 +44,6 @@ func (c Confusion) FPR() float64 { return ratio(c.FP, c.FP+c.TN) }
 // FNR returns the false negative rate.
 func (c Confusion) FNR() float64 { return ratio(c.FN, c.FN+c.TP) }
 
-// Precision returns TP / (TP + FP).
-func (c Confusion) Precision() float64 { return ratio(c.TP, c.TP+c.FP) }
-
-// Recall is an alias of TPR.
-func (c Confusion) Recall() float64 { return c.TPR() }
-
 // F1 returns the harmonic mean of precision and recall, computed as in the
 // paper: tp / (tp + (fp+fn)/2).
 func (c Confusion) F1() float64 {
@@ -70,11 +64,6 @@ func (c Confusion) FBeta(beta float64) float64 {
 		return 0
 	}
 	return (1 + b2) * float64(c.TP) / den
-}
-
-// Accuracy returns (TP+TN)/N.
-func (c Confusion) Accuracy() float64 {
-	return ratio(c.TP+c.TN, c.TP+c.TN+c.FP+c.FN)
 }
 
 // String renders the matrix with headline scores.

@@ -33,27 +33,13 @@ func TestNewDatasetValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Cols() != 2 || d.Len() != 1 || d.PositiveShare() != 1 {
-		t.Errorf("dataset accessors: %d %d %v", d.Cols(), d.Len(), d.PositiveShare())
+	if d.Len() != 1 {
+		t.Errorf("dataset Len = %d", d.Len())
 	}
 }
 
-func TestSplitAndFolds(t *testing.T) {
+func TestFolds(t *testing.T) {
 	d := blobsDataset(t, 1, 300)
-	train, test := d.Split(42, 2.0/3.0)
-	if train.Len()+test.Len() != d.Len() {
-		t.Fatalf("split sizes: %d + %d != %d", train.Len(), test.Len(), d.Len())
-	}
-	if train.Len() != 400 {
-		t.Errorf("train = %d, want 400 of 600", train.Len())
-	}
-	// Same seed: same split.
-	tr2, _ := d.Split(42, 2.0/3.0)
-	for i := range train.Y {
-		if train.Y[i] != tr2.Y[i] {
-			t.Fatal("split not deterministic")
-		}
-	}
 	folds := d.Folds(7, 3)
 	total := 0
 	seen := map[int]bool{}
@@ -115,7 +101,7 @@ func TestConfusionMetrics(t *testing.T) {
 
 func TestConfusionPerfectAndZero(t *testing.T) {
 	c := Confuse([]int{1, 0}, []int{1, 0})
-	if c.F1() != 1 || c.FBeta(0.5) != 1 || c.Accuracy() != 1 {
+	if c.F1() != 1 || c.FBeta(0.5) != 1 {
 		t.Error("perfect prediction scores")
 	}
 	c = Confuse([]int{0, 0}, []int{0, 0})
@@ -237,16 +223,13 @@ func TestPipelineEndToEnd(t *testing.T) {
 		},
 		Model: xgb.New(xgb.Options{Estimators: 8, MaxDepth: 4, Bins: 32}),
 	}
-	train, test := d.Split(1, 2.0/3.0)
-	c, per, err := p.Evaluate(train, test)
-	if err != nil {
+	folds := d.Folds(1, 3)
+	train, test := d.Subset(TrainFold(folds, 0)), d.Subset(folds[0])
+	if err := p.Fit(train.X, train.Y); err != nil {
 		t.Fatal(err)
 	}
-	if c.FBeta(0.5) < 0.9 {
+	if c := Confuse(test.Y, p.Predict(test.X)); c.FBeta(0.5) < 0.9 {
 		t.Errorf("Fβ = %.3f", c.FBeta(0.5))
-	}
-	if per < 0 {
-		t.Error("negative per-row latency")
 	}
 	if (&Pipeline{Name: "nil"}).Fit(train.X, train.Y) == nil {
 		t.Error("pipeline without model must error on fit")

@@ -1,6 +1,8 @@
 // Package mltest provides shared synthetic datasets for testing the ML
-// substrate: linearly separable blobs, noisy blobs, XOR (non-linear), and a
-// ring problem, all deterministic by seed.
+// substrate: Gaussian blobs, XOR (non-linear), a ring problem and a
+// hypersphere problem, all deterministic by seed. The package is test support: no
+// production package imports it, so the reachability gate (reach_test.go)
+// roots all of its declarations.
 package mltest
 
 import (

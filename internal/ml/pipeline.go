@@ -1,9 +1,6 @@
 package ml
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Classifier is a binary classifier over dense feature rows.
 type Classifier interface {
@@ -150,23 +147,6 @@ func (p *Pipeline) PredictInto(x [][]float64, out []int) {
 		return
 	}
 	copy(out, p.Model.Predict(cur))
-}
-
-// Evaluate fits on train and scores on test, returning the confusion matrix
-// and the prediction latency per row (the paper reports prediction cost as
-// mega clock cycles; wall time per prediction is the portable equivalent).
-func (p *Pipeline) Evaluate(train, test *Dataset) (Confusion, time.Duration, error) {
-	if err := p.Fit(train.X, train.Y); err != nil {
-		return Confusion{}, 0, err
-	}
-	start := time.Now()
-	pred := p.Predict(test.X)
-	elapsed := time.Since(start)
-	per := time.Duration(0)
-	if len(test.X) > 0 {
-		per = elapsed / time.Duration(len(test.X))
-	}
-	return Confuse(test.Y, pred), per, nil
 }
 
 // CrossValidate runs k-fold cross validation and returns the mean Fβ=0.5

@@ -106,3 +106,20 @@ func BenchmarkFit(b *testing.B) {
 		}
 	}
 }
+
+// NodeCount returns the number of nodes (pruning observability).
+func (m *Model) NodeCount() int {
+	count := 0
+	var walk func(int)
+	walk = func(i int) {
+		count++
+		if m.nodes[i].feature >= 0 {
+			walk(m.nodes[i].left)
+			walk(m.nodes[i].right)
+		}
+	}
+	if len(m.nodes) > 0 {
+		walk(0)
+	}
+	return count
+}

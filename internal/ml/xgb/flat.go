@@ -5,8 +5,6 @@ import (
 	"math/bits"
 	"sort"
 	"unsafe"
-
-	"github.com/ixp-scrubber/ixpscrubber/internal/par"
 )
 
 // maxFlatCols bounds the stack-allocated per-row rank buffer the batch
@@ -93,10 +91,6 @@ type flatNode = uint64
 func packNode(splitRank int16, feat uint8, rightOff uint32) flatNode {
 	return uint64(uint16(splitRank))<<48 | uint64(feat)<<32 | uint64(rightOff)
 }
-
-func nodeSplitRank(n flatNode) int16 { return int16(int64(n) >> 48) }
-func nodeFeat(n flatNode) uint8      { return uint8(n >> 32) }
-func nodeRightOff(n flatNode) uint32 { return uint32(n) }
 
 // program is the compiled flat inference form of a fitted ensemble:
 // every tree's nodes laid out depth-first in one contiguous arena of
@@ -618,37 +612,5 @@ func (p *program) predictInto(x [][]float64, out []int) {
 		for r := 0; r < n; r++ {
 			out[lo+r] = labelMargin(margins[r])
 		}
-	}
-}
-
-// scoreInto writes sigmoid probabilities, allocating nothing.
-func (p *program) scoreInto(x [][]float64, out []float64) {
-	p.marginInto(x, out)
-	for i, z := range out {
-		out[i] = sigmoid(z)
-	}
-}
-
-// MarginInto writes each row's raw margin (log-odds) into out, which must
-// have len(x) slots, sharded over the model's worker pool. Allocation-free
-// with Workers == 1; bit-identical at any worker count.
-func (m *Model) MarginInto(x [][]float64, out []float64) {
-	if p := m.prog; p != nil {
-		workers := gate(par.Workers(m.opts.Workers), len(x)*(1+len(m.trees)))
-		if workers <= 1 {
-			p.marginInto(x, out)
-			return
-		}
-		par.ForChunks(workers, len(x), func(_, lo, hi int) {
-			p.marginInto(x[lo:hi], out[lo:hi])
-		})
-		return
-	}
-	for i := range x {
-		z := m.base
-		for t := range m.trees {
-			z += m.trees[t].predict(x[i])
-		}
-		out[i] = z
 	}
 }

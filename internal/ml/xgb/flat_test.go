@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/ixp-scrubber/ixpscrubber/internal/ml/mltest"
+	"github.com/ixp-scrubber/ixpscrubber/internal/par"
 )
 
 // The compiled flat program is derived state pinned bit-for-bit to the
@@ -167,5 +168,62 @@ func TestCompileArena(t *testing.T) {
 		if right <= i+1 || right >= total {
 			t.Fatalf("node %d right child %d out of order", i, right)
 		}
+	}
+}
+
+func nodeSplitRank(n flatNode) int16 { return int16(int64(n) >> 48) }
+func nodeFeat(n flatNode) uint8      { return uint8(n >> 32) }
+func nodeRightOff(n flatNode) uint32 { return uint32(n) }
+
+// MarginInto writes each row's raw margin (log-odds) into out, which must
+// have len(x) slots, sharded over the model's worker pool. Allocation-free
+// with Workers == 1; bit-identical at any worker count.
+func (m *Model) MarginInto(x [][]float64, out []float64) {
+	if p := m.prog; p != nil {
+		workers := gate(par.Workers(m.opts.Workers), len(x)*(1+len(m.trees)))
+		if workers <= 1 {
+			p.marginInto(x, out)
+			return
+		}
+		par.ForChunks(workers, len(x), func(_, lo, hi int) {
+			p.marginInto(x[lo:hi], out[lo:hi])
+		})
+		return
+	}
+	for i := range x {
+		z := m.base
+		for t := range m.trees {
+			z += m.trees[t].predict(x[i])
+		}
+		out[i] = z
+	}
+}
+
+// ScoreInto writes the predicted positive-class probability of every row
+// into out, which must have len(x) slots. Allocation-free with Workers == 1.
+func (m *Model) ScoreInto(x [][]float64, out []float64) {
+	workers := gate(par.Workers(m.opts.Workers), len(x)*(1+len(m.trees)))
+	if p := m.prog; p != nil {
+		if workers <= 1 {
+			p.scoreInto(x, out)
+			return
+		}
+		par.ForChunks(workers, len(x), func(_, lo, hi int) {
+			p.scoreInto(x[lo:hi], out[lo:hi])
+		})
+		return
+	}
+	par.ForChunks(workers, len(x), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = m.Score(x[i])
+		}
+	})
+}
+
+// scoreInto writes sigmoid probabilities, allocating nothing.
+func (p *program) scoreInto(x [][]float64, out []float64) {
+	p.marginInto(x, out)
+	for i, z := range out {
+		out[i] = sigmoid(z)
 	}
 }

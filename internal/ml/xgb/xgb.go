@@ -680,27 +680,6 @@ func (m *Model) PredictInto(x [][]float64, out []int) {
 	})
 }
 
-// ScoreInto writes the predicted positive-class probability of every row
-// into out, which must have len(x) slots. Allocation-free with Workers == 1.
-func (m *Model) ScoreInto(x [][]float64, out []float64) {
-	workers := gate(par.Workers(m.opts.Workers), len(x)*(1+len(m.trees)))
-	if p := m.prog; p != nil {
-		if workers <= 1 {
-			p.scoreInto(x, out)
-			return
-		}
-		par.ForChunks(workers, len(x), func(_, lo, hi int) {
-			p.scoreInto(x[lo:hi], out[lo:hi])
-		})
-		return
-	}
-	par.ForChunks(workers, len(x), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = m.Score(x[i])
-		}
-	})
-}
-
 // GainImportance returns the total split gain attributed to each feature
 // column across all trees (Figure 10's "average gain" up to normalization).
 func (m *Model) GainImportance() []float64 {

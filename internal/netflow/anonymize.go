@@ -4,7 +4,6 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"net/netip"
 )
@@ -84,19 +83,4 @@ func (a *Anonymizer) Record(r *Record) {
 	r.DstIP = a.Addr(r.DstIP)
 	r.SrcMAC = a.MAC(r.SrcMAC)
 	r.DstMAC = a.MAC(r.DstMAC)
-}
-
-// Prefix anonymizes the network address of a prefix, keeping its length.
-// Note that after anonymization prefix containment relationships are not
-// preserved; the pipeline therefore matches flows against blackholed
-// prefixes before anonymizing.
-func (a *Anonymizer) Prefix(p netip.Prefix) netip.Prefix {
-	return netip.PrefixFrom(a.Addr(p.Addr()), p.Bits())
-}
-
-// Salt check value: lets two collectors verify they share a salt without
-// revealing it.
-func (a *Anonymizer) SaltCheck() uint32 {
-	d := a.mac16('c', []byte("salt-check"))
-	return binary.BigEndian.Uint32(d[:4])
 }

@@ -183,10 +183,6 @@ func TestRecordHelpers(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("Validate should reject invalid src")
 	}
-	k1, k2 := r.Key(), r.Key()
-	if k1 != k2 {
-		t.Error("Key not deterministic")
-	}
 }
 
 func TestAnonymizerDeterministicAndFamilyPreserving(t *testing.T) {
@@ -214,9 +210,6 @@ func TestAnonymizerDeterministicAndFamilyPreserving(t *testing.T) {
 	b, _ := NewAnonymizer([]byte("another-salt-value"))
 	if b.Addr(v4) == p4 {
 		t.Error("different salts must give different pseudonyms")
-	}
-	if a.SaltCheck() == b.SaltCheck() {
-		t.Error("salt check collision across different salts")
 	}
 }
 
@@ -289,19 +282,12 @@ func TestStats(t *testing.T) {
 	if m.UniqueBlackholeIPs() != 1 || m.UniqueBenignIPs() != 2 {
 		t.Errorf("unique IPs = %d/%d", m.UniqueBlackholeIPs(), m.UniqueBenignIPs())
 	}
-	if m.BlackholeShare() <= 0 || m.BlackholeShare() >= 1 {
-		t.Errorf("share = %v", m.BlackholeShare())
-	}
 	bh, be := s.FlowsPerIPPoints()
 	if len(bh) != 1 || len(be) != 1 {
 		t.Fatalf("points = %d/%d (minute 2 has no blackhole and must be skipped)", len(bh), len(be))
 	}
 	if bh[0] != 3 || be[0] != 3 {
 		t.Errorf("flows/IP = %v/%v, want 3/3", bh[0], be[0])
-	}
-	cdf := s.ShareCDF()
-	if len(cdf) != 2 || cdf[0] > cdf[1] {
-		t.Errorf("cdf = %v", cdf)
 	}
 	if s.String() == "" {
 		t.Error("String empty")

@@ -109,9 +109,6 @@ func (q *Queue) Len() int {
 // Cap returns the queue capacity in batches.
 func (q *Queue) Cap() int { return len(q.buf) }
 
-// Policy returns the configured overflow policy.
-func (q *Queue) Policy() DropPolicy { return q.policy }
-
 // Put offers one batch. It returns false when the batch was dropped (full
 // queue under DropNewest) or the queue is closed; under Block it waits for
 // space. The caller keeps ownership of batch — the queue stores a copy.

@@ -56,32 +56,8 @@ func (r *Record) MeanPacketSize() float64 {
 	return float64(r.Bytes) / float64(r.Packets)
 }
 
-// Key identifies a flow by its 5-tuple plus ingress MAC within a minute bin.
-type Key struct {
-	Minute   int64
-	SrcIP    netip.Addr
-	DstIP    netip.Addr
-	SrcPort  uint16
-	DstPort  uint16
-	Protocol uint8
-	SrcMAC   [6]byte
-}
-
-// Key returns the flow aggregation key of the record.
-func (r *Record) Key() Key {
-	return Key{
-		Minute:   r.Minute(),
-		SrcIP:    r.SrcIP,
-		DstIP:    r.DstIP,
-		SrcPort:  r.SrcPort,
-		DstPort:  r.DstPort,
-		Protocol: r.Protocol,
-		SrcMAC:   r.SrcMAC,
-	}
-}
-
-// Validate reports structural problems in a record. It is used by ingest
-// paths to reject corrupt data early.
+// Validate reports structural problems in a record: the generator and
+// trace-writer tests check their output with it.
 func (r *Record) Validate() error {
 	switch {
 	case !r.SrcIP.IsValid():

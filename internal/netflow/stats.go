@@ -21,14 +21,14 @@ type Stats struct {
 
 // MinuteStats aggregates one one-minute bin.
 type MinuteStats struct {
-	Minute          int64
-	Records         uint64
-	Bytes           uint64
-	BlackholeBytes  uint64
-	BenignFlows     uint64
-	BlackholeFlows  uint64
-	benignIPs       map[netip.Addr]struct{}
-	blackholeIPs    map[netip.Addr]struct{}
+	Minute         int64
+	Records        uint64
+	Bytes          uint64
+	BlackholeBytes uint64
+	BenignFlows    uint64
+	BlackholeFlows uint64
+	benignIPs      map[netip.Addr]struct{}
+	blackholeIPs   map[netip.Addr]struct{}
 }
 
 // UniqueBenignIPs returns the number of distinct benign destination IPs.
@@ -37,15 +37,6 @@ func (m *MinuteStats) UniqueBenignIPs() int { return len(m.benignIPs) }
 // UniqueBlackholeIPs returns the number of distinct blackholed destination
 // IPs.
 func (m *MinuteStats) UniqueBlackholeIPs() int { return len(m.blackholeIPs) }
-
-// BlackholeShare returns the fraction of bytes in this minute that were
-// blackholed.
-func (m *MinuteStats) BlackholeShare() float64 {
-	if m.Bytes == 0 {
-		return 0
-	}
-	return float64(m.BlackholeBytes) / float64(m.Bytes)
-}
 
 // Add folds one record into the statistics.
 func (s *Stats) Add(r *Record) {
@@ -96,17 +87,6 @@ func (s *Stats) Minutes() []*MinuteStats {
 		out = append(out, m)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Minute < out[j].Minute })
-	return out
-}
-
-// ShareCDF returns the sorted per-minute blackhole byte shares, the series
-// plotted as a CDF in Figure 3a.
-func (s *Stats) ShareCDF() []float64 {
-	out := make([]float64, 0, len(s.minutes))
-	for _, m := range s.minutes {
-		out = append(out, m.BlackholeShare())
-	}
-	sort.Float64s(out)
 	return out
 }
 

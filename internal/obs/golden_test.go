@@ -2,6 +2,7 @@ package obs
 
 import (
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -89,4 +90,26 @@ func TestGoldenLabelOrdering(t *testing.T) {
 		v.With(lv[0], lv[1]).Inc()
 	}
 	golden(t, "label_ordering", r)
+}
+
+// HistogramVec is a family of histograms sharing a label schema.
+type HistogramVec struct{ f *family }
+
+// HistogramVec returns the labeled histogram family with the given name.
+func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
+	if buckets == nil {
+		buckets = DurationBuckets
+	}
+	mustAscending(name, buckets)
+	return &HistogramVec{r.getFamily(name, help, typeHistogram, labelNames, buckets)}
+}
+
+// With returns the child histogram for the given label values.
+func (v *HistogramVec) With(labelValues ...string) *Histogram {
+	return &Histogram{v.f.child(labelValues)}
+}
+
+// Sum returns the sum of observed values.
+func (h *Histogram) Sum() float64 {
+	return math.Float64frombits(h.c.hist.sum.Load())
 }

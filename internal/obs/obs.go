@@ -365,11 +365,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.c.hist.count.Load() }
 
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	return math.Float64frombits(h.c.hist.sum.Load())
-}
-
 // Histogram returns the unlabeled histogram with the given name. buckets
 // are ascending upper bounds; the +Inf bucket is implicit. Nil buckets
 // default to DurationBuckets.
@@ -379,23 +374,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	}
 	mustAscending(name, buckets)
 	return &Histogram{r.getFamily(name, help, typeHistogram, nil, buckets).child(nil)}
-}
-
-// HistogramVec is a family of histograms sharing a label schema.
-type HistogramVec struct{ f *family }
-
-// HistogramVec returns the labeled histogram family with the given name.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
-	if buckets == nil {
-		buckets = DurationBuckets
-	}
-	mustAscending(name, buckets)
-	return &HistogramVec{r.getFamily(name, help, typeHistogram, labelNames, buckets)}
-}
-
-// With returns the child histogram for the given label values.
-func (v *HistogramVec) With(labelValues ...string) *Histogram {
-	return &Histogram{v.f.child(labelValues)}
 }
 
 func mustAscending(name string, buckets []float64) {

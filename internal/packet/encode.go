@@ -1,9 +1,6 @@
 package packet
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Builder assembles packet headers into a byte buffer. It is used by the
 // synthetic traffic generator and the sFlow encoder to produce wire-format
@@ -61,19 +58,6 @@ func (b *Builder) IPv4(src, dst [4]byte, proto IPProtocol, totalLength uint16, o
 	return b
 }
 
-// IPv6 appends a fixed IPv6 header.
-func (b *Builder) IPv6(src, dst [16]byte, next IPProtocol, payloadLength uint16, hopLimit uint8) *Builder {
-	if hopLimit == 0 {
-		hopLimit = 64
-	}
-	b.buf = append(b.buf, 0x60, 0, 0, 0)
-	b.buf = binary.BigEndian.AppendUint16(b.buf, payloadLength)
-	b.buf = append(b.buf, uint8(next), hopLimit)
-	b.buf = append(b.buf, src[:]...)
-	b.buf = append(b.buf, dst[:]...)
-	return b
-}
-
 // TCP appends a TCP header with no options; the checksum field is left zero
 // (sampled headers at IXPs are not checksum-verified).
 func (b *Builder) TCP(srcPort, dstPort uint16, seq, ack uint32, flags uint8, window uint16) *Builder {
@@ -126,14 +110,4 @@ func ipChecksum(data []byte) uint16 {
 		sum = sum&0xffff + sum>>16
 	}
 	return ^uint16(sum)
-}
-
-// Validate performs a structural sanity check of a built frame by round-trip
-// decoding it. It is intended for tests and generator self-checks.
-func Validate(frame []byte) error {
-	var p Packet
-	if err := p.Decode(frame); err != nil {
-		return fmt.Errorf("packet: self-check failed: %w", err)
-	}
-	return nil
 }

@@ -104,12 +104,9 @@ func (m MAC) String() string {
 
 // TCP flag bits as found in the flags byte of the TCP header.
 const (
-	FlagFIN uint8 = 1 << 0
 	FlagSYN uint8 = 1 << 1
-	FlagRST uint8 = 1 << 2
 	FlagPSH uint8 = 1 << 3
 	FlagACK uint8 = 1 << 4
-	FlagURG uint8 = 1 << 5
 )
 
 // Ethernet is a decoded Ethernet II header, including an optional single
@@ -123,28 +120,17 @@ type Ethernet struct {
 
 // IPv4 is a decoded IPv4 header.
 type IPv4 struct {
-	IHL            uint8 // header length in 32-bit words
-	TOS            uint8
-	TotalLength    uint16
-	ID             uint16
-	Flags          uint8  // 3 bits: reserved, DF, MF
-	FragOffset     uint16 // in 8-byte units
-	TTL            uint8
-	Protocol       IPProtocol
-	Checksum       uint16
-	SrcIP, DstIP   [4]byte
+	IHL          uint8 // header length in 32-bit words
+	TOS          uint8
+	TotalLength  uint16
+	ID           uint16
+	Flags        uint8  // 3 bits: reserved, DF, MF
+	FragOffset   uint16 // in 8-byte units
+	TTL          uint8
+	Protocol     IPProtocol
+	Checksum     uint16
+	SrcIP, DstIP [4]byte
 }
-
-// MoreFragments reports whether the MF bit is set.
-func (h *IPv4) MoreFragments() bool { return h.Flags&0x1 != 0 }
-
-// DontFragment reports whether the DF bit is set.
-func (h *IPv4) DontFragment() bool { return h.Flags&0x2 != 0 }
-
-// IsFragment reports whether the packet is a fragment (MF set or a non-zero
-// fragment offset). Non-first fragments carry no L4 header, the signature the
-// paper's "UDP fragments" DDoS class keys on.
-func (h *IPv4) IsFragment() bool { return h.MoreFragments() || h.FragOffset != 0 }
 
 // IPv6 is a decoded fixed IPv6 header.
 type IPv6 struct {

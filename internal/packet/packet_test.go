@@ -1,7 +1,9 @@
 package packet
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -309,4 +311,35 @@ func BenchmarkDecodeUDP(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// MoreFragments reports whether the MF bit is set.
+func (h *IPv4) MoreFragments() bool { return h.Flags&0x1 != 0 }
+
+// IsFragment reports whether the packet is a fragment (MF set or a non-zero
+// fragment offset). Non-first fragments carry no L4 header, the signature the
+// paper's "UDP fragments" DDoS class keys on.
+func (h *IPv4) IsFragment() bool { return h.MoreFragments() || h.FragOffset != 0 }
+
+// IPv6 appends a fixed IPv6 header.
+func (b *Builder) IPv6(src, dst [16]byte, next IPProtocol, payloadLength uint16, hopLimit uint8) *Builder {
+	if hopLimit == 0 {
+		hopLimit = 64
+	}
+	b.buf = append(b.buf, 0x60, 0, 0, 0)
+	b.buf = binary.BigEndian.AppendUint16(b.buf, payloadLength)
+	b.buf = append(b.buf, uint8(next), hopLimit)
+	b.buf = append(b.buf, src[:]...)
+	b.buf = append(b.buf, dst[:]...)
+	return b
+}
+
+// Validate performs a structural sanity check of a built frame by round-trip
+// decoding it.
+func Validate(frame []byte) error {
+	var p Packet
+	if err := p.Decode(frame); err != nil {
+		return fmt.Errorf("packet: self-check failed: %w", err)
+	}
+	return nil
 }

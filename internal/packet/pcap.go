@@ -126,17 +126,6 @@ func (p *PcapReader) begin() error {
 	return nil
 }
 
-// Read returns the next frame, or io.EOF at a clean end of stream. It
-// allocates a fresh frame per call; loops over large captures reuse one via
-// ReadInto.
-func (p *PcapReader) Read() (*PcapFrame, error) {
-	f := &PcapFrame{}
-	if err := p.ReadInto(f); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // ReadInto fills f with the next frame, growing f.Data only when the frame
 // exceeds its capacity — at steady state a capture loop reads without
 // allocating. Returns io.EOF at a clean end of stream; on error f is left in

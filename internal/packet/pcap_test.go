@@ -168,3 +168,14 @@ func TestPcapReadInto(t *testing.T) {
 		t.Errorf("ReadInto allocs/run = %v, budget 0", avg)
 	}
 }
+
+// Read returns the next frame, or io.EOF at a clean end of stream. It
+// allocates a fresh frame per call; loops over large captures reuse one via
+// ReadInto.
+func (p *PcapReader) Read() (*PcapFrame, error) {
+	f := &PcapFrame{}
+	if err := p.ReadInto(f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}

@@ -2,64 +2,41 @@ package par
 
 import (
 	"context"
-	"math/rand/v2"
 	"time"
 )
 
-// Backoff produces capped exponential retry delays with seeded jitter:
-// attempt n sleeps Base*Factor^n, capped at Max, then multiplied by a
-// uniform factor in [1-Jitter, 1+Jitter]. The jitter stream is seeded, so a
-// retry schedule is reproducible for a given seed — which is what lets the
-// chaos harness assert exact backoff sequences while production gets the
-// thundering-herd protection jitter exists for.
+// Backoff produces capped exponential retry delays without jitter: attempt
+// n sleeps Base*2^n, capped at Max. The schedule is a pure function of the
+// attempt count, which is what lets the chaos harness assert exact backoff
+// sequences.
 //
-// The zero value is not usable; construct with NewBackoff. A Backoff is not
-// safe for concurrent use: it belongs to one retry loop.
+// The zero value uses the documented defaults. A Backoff is not safe for
+// concurrent use: it belongs to one retry loop.
 type Backoff struct {
 	// Base is the first delay. Defaults to 50ms when zero.
 	Base time.Duration
 	// Max caps the exponential growth. Defaults to 30s when zero.
 	Max time.Duration
-	// Factor is the growth multiplier between attempts. Defaults to 2.
-	Factor float64
-	// Jitter is the relative jitter half-width (0.2 = ±20%). Zero disables
-	// jitter entirely (fully deterministic schedules).
-	Jitter float64
 	// Sleep performs the waiting; defaults to time.Sleep. The chaos harness
 	// injects a virtual sleeper here so retries cost no wall time.
 	Sleep func(time.Duration)
 
-	rng     *rand.Rand
 	attempt int
 }
 
-// NewBackoff returns a Backoff with the given seed driving its jitter and
-// the documented defaults for unset fields.
-func NewBackoff(seed uint64) *Backoff {
-	return &Backoff{rng: rand.New(rand.NewPCG(seed, seed^0x6C62272E07BB0142))}
-}
-
-func (b *Backoff) defaults() (base, max time.Duration, factor float64) {
-	base, max, factor = b.Base, b.Max, b.Factor
+// Next returns the delay for the current attempt and advances the attempt
+// counter. It does not sleep.
+func (b *Backoff) Next() time.Duration {
+	base, max := b.Base, b.Max
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}
 	if max <= 0 {
 		max = 30 * time.Second
 	}
-	if factor < 1 {
-		factor = 2
-	}
-	return base, max, factor
-}
-
-// Next returns the delay for the current attempt and advances the attempt
-// counter. It does not sleep.
-func (b *Backoff) Next() time.Duration {
-	base, max, factor := b.defaults()
 	d := float64(base)
 	for i := 0; i < b.attempt; i++ {
-		d *= factor
+		d *= 2
 		if d >= float64(max) {
 			d = float64(max)
 			break
@@ -69,10 +46,6 @@ func (b *Backoff) Next() time.Duration {
 		d = float64(max)
 	}
 	b.attempt++
-	if b.Jitter > 0 && b.rng != nil {
-		j := 1 + b.Jitter*(2*b.rng.Float64()-1)
-		d *= j
-	}
 	return time.Duration(d)
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 func TestBackoffSchedule(t *testing.T) {
-	b := NewBackoff(1)
+	b := &Backoff{}
 	b.Base = 10 * time.Millisecond
 	b.Max = 80 * time.Millisecond
 	want := []time.Duration{
@@ -28,41 +28,9 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 }
 
-func TestBackoffJitterDeterministicPerSeed(t *testing.T) {
-	mk := func(seed uint64) []time.Duration {
-		b := NewBackoff(seed)
-		b.Base = 10 * time.Millisecond
-		b.Jitter = 0.3
-		out := make([]time.Duration, 6)
-		for i := range out {
-			out[i] = b.Next()
-		}
-		return out
-	}
-	a1, a2, c := mk(7), mk(7), mk(8)
-	same := true
-	nominal := float64(10 * time.Millisecond)
-	for i := range a1 {
-		if a1[i] != a2[i] {
-			t.Fatalf("same seed diverged at %d: %v vs %v", i, a1[i], a2[i])
-		}
-		if a1[i] != c[i] {
-			same = false
-		}
-		lo, hi := time.Duration(nominal*0.69), time.Duration(nominal*1.31)
-		if a1[i] < lo || a1[i] > hi {
-			t.Errorf("attempt %d = %v outside jitter envelope [%v, %v]", i, a1[i], lo, hi)
-		}
-		nominal *= 2
-	}
-	if same {
-		t.Error("different seeds produced identical jitter streams")
-	}
-}
-
 func TestBackoffWaitVirtualSleeper(t *testing.T) {
 	var slept []time.Duration
-	b := NewBackoff(3)
+	b := &Backoff{}
 	b.Base = time.Second // would stall the test with a real sleeper
 	b.Sleep = func(d time.Duration) { slept = append(slept, d) }
 	ctx := context.Background()

@@ -124,9 +124,3 @@ func ForChunks(workers, n int, fn func(worker, lo, hi int)) {
 		panic(pval)
 	}
 }
-
-// Do runs the given tasks concurrently on at most `workers` goroutines and
-// waits for all of them.
-func Do(workers int, tasks ...func()) {
-	For(workers, len(tasks), func(i int) { tasks[i]() })
-}

@@ -99,11 +99,3 @@ func TestForPanicPropagates(t *testing.T) {
 		}
 	})
 }
-
-func TestDo(t *testing.T) {
-	var a, b atomic.Int32
-	Do(2, func() { a.Store(1) }, func() { b.Store(2) })
-	if a.Load() != 1 || b.Load() != 2 {
-		t.Fatalf("Do did not run all tasks: %d %d", a.Load(), b.Load())
-	}
-}

@@ -174,19 +174,10 @@ func Open(dir string, opts Options) (*Registry, error) {
 	return r, nil
 }
 
-// Dir returns the registry directory.
-func (r *Registry) Dir() string { return r.dir }
-
 // Writer exposes the underlying atomic writer so callers can tune retry
 // pacing (the chaos harness installs an instant backoff so retries don't
 // consume virtual time).
 func (r *Registry) Writer() *acl.Writer { return r.writer }
-
-// BundleID derives the content-hash id for bundle bytes.
-func BundleID(bundle []byte) string {
-	sum := sha256.Sum256(bundle)
-	return hex.EncodeToString(sum[:8])
-}
 
 func (r *Registry) bundlePath(id string) string {
 	return filepath.Join(r.dir, id+".bundle.json")

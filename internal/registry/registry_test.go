@@ -3,6 +3,8 @@ package registry
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"os"
@@ -226,7 +228,7 @@ func TestGC(t *testing.T) {
 	}
 
 	// Orphan bundle (no manifest) is swept.
-	orphan := filepath.Join(r.Dir(), "feedfacefeedface.bundle.json")
+	orphan := filepath.Join(r.dir, "feedfacefeedface.bundle.json")
 	if err := os.WriteFile(orphan, []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -413,4 +415,10 @@ func BenchmarkPublish(b *testing.B) {
 		os.Remove(r.manifestPath(id))
 		os.Remove(r.bundlePath(id))
 	}
+}
+
+// BundleID derives the content-hash id Publish assigns to bundle bytes.
+func BundleID(bundle []byte) string {
+	sum := sha256.Sum256(bundle)
+	return hex.EncodeToString(sum[:8])
 }

@@ -50,9 +50,6 @@ func (s *dropperSegment) EmitBatch(recs []netflow.Record) { s.stage.EmitBatch(re
 func (s *dropperSegment) Start(context.Context) error     { return nil }
 func (s *dropperSegment) Close() error                    { return nil }
 
-// Stage exposes the compiled stage (hot swaps, stats).
-func (s *dropperSegment) Stage() *dropper.Stage { return s.stage }
-
 // --- balance ------------------------------------------------------------
 
 // balanceSegment runs the per-minute balancer mid-stream: all blackholed
@@ -105,13 +102,6 @@ func (s *balanceSegment) Close() error {
 	s.flushLocked()
 	s.mu.Unlock()
 	return nil
-}
-
-// Stats snapshots the balancer counters.
-func (s *balanceSegment) Stats() balance.Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bal.Stats
 }
 
 // --- sample -------------------------------------------------------------

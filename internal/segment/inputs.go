@@ -118,10 +118,6 @@ type fileInput struct {
 	emitted atomic.Uint64
 }
 
-// Emitted returns how many records this input has delivered downstream.
-// Conservation tests balance it against the sinks.
-func (s *fileInput) Emitted() uint64 { return s.emitted.Load() }
-
 func (s *fileInput) Start(ctx context.Context) error {
 	s.b.finite.Add(1)
 	s.wg.Add(1)
@@ -454,17 +450,4 @@ func (s *diskbufferSegment) Close() error {
 		err = rmErr
 	}
 	return err
-}
-
-// crashForTest simulates an unclean exit for the chaos scenario: the spill
-// file handle closes (flushed data survives) but the file is NOT removed,
-// exactly as if the process had died.
-func (s *diskbufferSegment) crashForTest() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	if s.f != nil {
-		_ = s.f.Close()
-		s.f, s.w = nil, nil
-	}
 }

@@ -83,9 +83,6 @@ func buildScrubber(b *builder, sc *SegmentConfig, next EmitFunc) (Instance, erro
 
 func (s *scrubberSegment) EmitBatch(recs []netflow.Record) { s.pipe.EmitBatch(recs) }
 
-// Pipe exposes the underlying detection pipeline.
-func (s *scrubberSegment) Pipe() *ixpsim.Pipeline { return s.pipe }
-
 // Start replays the daemon's exact startup order: static drop rules seed
 // the fast path, the checkpoint restores over them (fresher verdicts take
 // precedence), an imported classifier installs as challenger, then the
@@ -143,12 +140,6 @@ type archiveSegment struct {
 	delivered atomic.Uint64
 	errs      atomic.Uint64
 }
-
-// Delivered returns records written to the archive so far.
-func (s *archiveSegment) Delivered() uint64 { return s.delivered.Load() }
-
-// WriteErrors returns records lost to write failures.
-func (s *archiveSegment) WriteErrors() uint64 { return s.errs.Load() }
 
 func buildJSONL(b *builder, sc *SegmentConfig, next EmitFunc) (Instance, error) {
 	return &archiveSegment{
@@ -382,37 +373,4 @@ func (t *teeSegment) Close() error {
 		}
 	}
 	return first
-}
-
-// BranchNames lists the tee's branches in config order.
-func (t *teeSegment) BranchNames() []string {
-	out := make([]string, len(t.branches))
-	for i, br := range t.branches {
-		out[i] = br.name
-	}
-	return out
-}
-
-// BranchStats returns the named branch's queue conservation counters.
-func (t *teeSegment) BranchStats(name string) *netflow.QueueStats {
-	for _, br := range t.branches {
-		if br.name == name {
-			return &br.queue.Stats
-		}
-	}
-	return nil
-}
-
-// BranchInstances returns the named branch's segment instances head-first.
-func (t *teeSegment) BranchInstances(name string) []Instance {
-	for _, br := range t.branches {
-		if br.name == name {
-			out := make([]Instance, len(br.segs))
-			for i, s := range br.segs {
-				out[i] = s.inst
-			}
-			return out
-		}
-	}
-	return nil
 }

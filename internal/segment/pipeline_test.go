@@ -548,3 +548,49 @@ func (s *panicOnce) EmitBatch([]netflow.Record) {
 }
 func (s *panicOnce) Start(context.Context) error { return nil }
 func (s *panicOnce) Close() error                { return nil }
+
+// Delivered returns records written to the archive so far.
+func (s *archiveSegment) Delivered() uint64 { return s.delivered.Load() }
+
+// WriteErrors returns records lost to write failures.
+func (s *archiveSegment) WriteErrors() uint64 { return s.errs.Load() }
+
+// BranchStats returns the named branch's queue conservation counters.
+func (t *teeSegment) BranchStats(name string) *netflow.QueueStats {
+	for _, br := range t.branches {
+		if br.name == name {
+			return &br.queue.Stats
+		}
+	}
+	return nil
+}
+
+// BranchInstances returns the named branch's segment instances head-first.
+func (t *teeSegment) BranchInstances(name string) []Instance {
+	for _, br := range t.branches {
+		if br.name == name {
+			out := make([]Instance, len(br.segs))
+			for i, s := range br.segs {
+				out[i] = s.inst
+			}
+			return out
+		}
+	}
+	return nil
+}
+
+// crashForTest simulates an unclean exit for the chaos scenario: the spill
+// file handle closes (flushed data survives) but the file is NOT removed,
+// exactly as if the process had died.
+func (s *diskbufferSegment) crashForTest() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	if s.f != nil {
+		_ = s.f.Close()
+		s.f, s.w = nil, nil
+	}
+}
+
+// Emitted returns how many records this input has delivered downstream.
+func (s *fileInput) Emitted() uint64 { return s.emitted.Load() }

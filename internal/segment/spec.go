@@ -131,9 +131,6 @@ func Kinds() []string {
 	return out
 }
 
-// LookupSpec returns the spec for a segment kind, or nil.
-func LookupSpec(kind string) *Spec { return specs[kind] }
-
 // intField/floatField/durField helpers keep the spec tables readable.
 func intField(name string, def int64, min, max float64, help string) FieldSpec {
 	return FieldSpec{Name: name, Type: TypeInt, Default: def, Min: min, Max: max, MinSet: true, MaxSet: true, Help: help}

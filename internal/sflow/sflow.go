@@ -29,8 +29,7 @@ const (
 	addrTypeIPv6 = 2
 
 	// Sample formats (enterprise 0).
-	sampleFlow    = 1
-	sampleCounter = 2
+	sampleFlow = 1
 
 	// Flow record formats (enterprise 0).
 	recordRawPacketHeader = 1

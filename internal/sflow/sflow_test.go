@@ -475,3 +475,7 @@ func TestListenIdleFlush(t *testing.T) {
 		t.Fatalf("Listen: %v", err)
 	}
 }
+
+// sampleCounter is the counter-sample format (enterprise 0), which the
+// decoder skips.
+const sampleCounter = 2

@@ -166,6 +166,3 @@ func (h *HLL) Reset() {
 	h.sumHi = uint64(len(h.reg))
 	h.sumLo = 0
 }
-
-// Footprint returns the register heap bytes.
-func (h *HLL) Footprint() int { return len(h.reg) }

@@ -99,25 +99,6 @@ func (c *CountMin) Update(key uint64, bytes, pkts uint64) (estB, estP uint64) {
 	return estB, estP
 }
 
-// Estimate returns the conservative (bytes, pkts) estimate for key: the
-// minimum cell over the rows. Estimates never under-count.
-func (c *CountMin) Estimate(key uint64) (estB, estP uint64) {
-	estB, estP = math.MaxUint64, math.MaxUint64
-	base := uint64(0)
-	for d := 0; d < c.depth; d++ {
-		i := base + (mix64(key^rowSeeds[d]) & (c.width - 1))
-		cell := c.cells[i]
-		if cell[0] < estB {
-			estB = cell[0]
-		}
-		if cell[1] < estP {
-			estP = cell[1]
-		}
-		base += c.width
-	}
-	return estB, estP
-}
-
 // Reset zeroes every cell, keeping the allocation.
 func (c *CountMin) Reset() {
 	clear(c.cells)

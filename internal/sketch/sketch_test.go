@@ -222,3 +222,34 @@ func TestHLLAddAllocs(t *testing.T) {
 		t.Errorf("HLL.AddKey allocates %.1f objects/op, want 0", avg)
 	}
 }
+
+// Estimate returns the conservative (bytes, pkts) estimate for key: the
+// minimum cell over the rows. Estimates never under-count.
+func (c *CountMin) Estimate(key uint64) (estB, estP uint64) {
+	estB, estP = math.MaxUint64, math.MaxUint64
+	base := uint64(0)
+	for d := 0; d < c.depth; d++ {
+		i := base + (mix64(key^rowSeeds[d]) & (c.width - 1))
+		cell := c.cells[i]
+		if cell[0] < estB {
+			estB = cell[0]
+		}
+		if cell[1] < estP {
+			estP = cell[1]
+		}
+		base += c.width
+	}
+	return estB, estP
+}
+
+// Len returns the number of monitored keys.
+func (s *SpaceSaving) Len() int { return len(s.entries) }
+
+// Min returns the smallest primary weight among monitored keys (0 when the
+// summary is not yet full): the admission bar a new key must clear.
+func (s *SpaceSaving) Min() uint64 {
+	if len(s.entries) < s.k {
+		return 0
+	}
+	return s.entries[s.minVictim()].W[s.primary]
+}

@@ -47,12 +47,6 @@ func NewSpaceSaving(k, primary int) *SpaceSaving {
 	}
 }
 
-// K returns the summary capacity.
-func (s *SpaceSaving) K() int { return s.k }
-
-// Len returns the number of monitored keys.
-func (s *SpaceSaving) Len() int { return len(s.entries) }
-
 // Entries exposes the monitored set (unordered, aliased — callers must not
 // retain across updates).
 func (s *SpaceSaving) Entries() []Entry { return s.entries }
@@ -61,15 +55,6 @@ func (s *SpaceSaving) Entries() []Entry { return s.entries }
 func (s *SpaceSaving) Has(key uint64) bool {
 	_, ok := s.idx[key]
 	return ok
-}
-
-// Min returns the smallest primary weight among monitored keys (0 when the
-// summary is not yet full): the admission bar a new key must clear.
-func (s *SpaceSaving) Min() uint64 {
-	if len(s.entries) < s.k {
-		return 0
-	}
-	return s.entries[s.minVictim()].W[s.primary]
 }
 
 // minVictim returns the index of the eviction victim: minimum primary
@@ -171,11 +156,4 @@ func (s *SpaceSaving) Reset() {
 	s.entries = s.entries[:0]
 	s.minStale = true
 	s.minIdx = 0
-}
-
-// Footprint returns the steady-state heap bytes of the entry array and index.
-func (s *SpaceSaving) Footprint() int {
-	// Entry is 48 bytes; a map slot for (uint64, int32) costs roughly 16
-	// bytes plus bucket overhead — 24 is a fair amortized figure.
-	return s.k * (48 + 24)
 }

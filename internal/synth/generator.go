@@ -52,19 +52,19 @@ type episode struct {
 // It is deterministic for a given Profile and sequence of minutes. Not safe
 // for concurrent use.
 type Generator struct {
-	p        Profile
-	rng      *rand.Rand
+	p         Profile
+	rng       *rand.Rand
 	members   []Member
 	targets   []netip.Addr // benign destination pool
 	targetCum []float64    // cumulative Zipf popularity over targets
 	sources   []netip.Addr // benign source pool
-	refl     map[string][]netip.Addr
-	owner    map[netip.Prefix][6]byte // member /24 -> MAC, for O(1) egress lookup
-	vectors  []Vector  // active catalog subset per weights
-	weights  []float64 // cumulative weights aligned with vectors
-	episodes []*episode
-	events   []BlackholeEvent
-	curMin   int64
+	refl      map[string][]netip.Addr
+	owner     map[netip.Prefix][6]byte // member /24 -> MAC, for O(1) egress lookup
+	vectors   []Vector                 // active catalog subset per weights
+	weights   []float64                // cumulative weights aligned with vectors
+	episodes  []*episode
+	events    []BlackholeEvent
+	curMin    int64
 }
 
 // NewGenerator builds a deterministic generator for the profile.
@@ -85,9 +85,6 @@ func NewGenerator(p Profile) *Generator {
 	g.buildVectorTable()
 	return g
 }
-
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.p }
 
 // Members returns the simulated member networks.
 func (g *Generator) Members() []Member { return g.members }
@@ -355,9 +352,6 @@ func (g *Generator) Events() []BlackholeEvent {
 	g.events = nil
 	return ev
 }
-
-// ActiveEpisodes returns the number of ongoing attack episodes.
-func (g *Generator) ActiveEpisodes() int { return len(g.episodes) }
 
 func (g *Generator) benignFlows(minute, at int64, dst []Flow) []Flow {
 	n := poisson(g.rng, float64(g.p.BenignFlowsPerMin))

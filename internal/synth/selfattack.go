@@ -14,9 +14,6 @@ type SelfAttackConfig struct {
 	// Profile supplies the benign background and vector mix; its episode
 	// machinery is unused.
 	Profile Profile
-	// Victim is the dedicated attacked IP. The zero value picks one from a
-	// dedicated prefix outside the member space.
-	Victim netip.Addr
 	// Attacks is the number of purchased attack runs (each < 5 minutes,
 	// per the ethics constraints in §4.3).
 	Attacks int
@@ -47,10 +44,8 @@ func SelfAttackSet(cfg SelfAttackConfig) []Flow {
 	g := NewGenerator(cfg.Profile)
 	rng := rand.New(rand.NewPCG(cfg.Profile.Seed^0x53A5, cfg.Profile.Seed+99))
 
-	victim := cfg.Victim
-	if !victim.IsValid() {
-		victim = netip.AddrFrom4([4]byte{198, 18, 0, 66}) // dedicated test prefix
-	}
+	// The dedicated attacked IP, in a test prefix outside the member space.
+	victim := netip.AddrFrom4([4]byte{198, 18, 0, 66})
 	victimMAC := [6]byte{0x02, 0xDD, 0, 0, 0, 1}
 
 	// Schedule attack runs: uniformly placed, 1-5 minutes each, 1-2 vectors.

@@ -331,7 +331,7 @@ func TestFrameForRoundTrip(t *testing.T) {
 		if srcIP != f.SrcIP {
 			t.Fatalf("src ip mismatch: %v vs %v", srcIP, f.SrcIP)
 		}
-		if f.Fragment != p.IP4.IsFragment() {
+		if f.Fragment != (p.IP4.Flags&0x1 != 0 || p.IP4.FragOffset != 0) { // MF or non-first
 			t.Fatalf("fragment flag mismatch")
 		}
 		if !f.Fragment {

@@ -315,3 +315,36 @@ func FuzzClassOf(f *testing.F) {
 		}
 	})
 }
+
+// MatchRecord reports whether every item of the antecedent holds for the
+// record's discretization: the per-item statement of the rule semantics
+// that Tagger matches on lowered classes.
+func MatchRecord(antecedent []Item, r *netflow.Record) bool {
+	for _, it := range antecedent {
+		switch it.Field() {
+		case FieldProtocol:
+			if uint32(r.Protocol) != it.Value() {
+				return false
+			}
+		case FieldSrcPort:
+			if r.Fragment || PortValue(r.SrcPort) != it.Value() {
+				return false
+			}
+		case FieldDstPort:
+			if r.Fragment || PortValue(r.DstPort) != it.Value() {
+				return false
+			}
+		case FieldSize:
+			if SizeBin(r.MeanPacketSize()) != it.Value() {
+				return false
+			}
+		case FieldFragment:
+			if !r.Fragment {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}

@@ -72,21 +72,14 @@ type Transaction struct {
 	Count      int
 }
 
-// MineFrequent runs FP-Growth over the weighted transactions and returns
-// every itemset whose support count — the summed Count of the transactions
+// MineFrequentWorkers runs FP-Growth over the weighted transactions and
+// returns every itemset whose support count — the summed Count of the transactions
 // containing it — is at least minCount, with blackhole co-occurrence
 // counts. Itemsets, counts and emission order depend only on the multiset
 // of records the transactions stand for, so callers pre-aggregate
 // identical records into one weighted transaction (Mine does, per Class and
-// label); repeated transactions are handled correctly too. The worker pool
-// is sized from GOMAXPROCS; use MineFrequentWorkers to pin it.
-func MineFrequent(txs []Transaction, minCount int) []Itemset {
-	return MineFrequentWorkers(txs, minCount, 0)
-}
-
-// MineFrequentWorkers is MineFrequent on a bounded worker pool: the
-// conditional trees of the top-level header-table items are mined
-// concurrently and their itemsets concatenated in header order, which
+// label); repeated transactions are handled correctly too. The conditional
+// trees of the top-level header-table items are mined concurrently and their itemsets concatenated in header order, which
 // reproduces the serial DFS emission order exactly — output is bit-for-bit
 // identical for every worker count. workers <= 0 sizes from GOMAXPROCS;
 // workers == 1 is the serial path.

@@ -71,9 +71,6 @@ const (
 // rules use intervals like "(400,500]".
 const SizeBinWidth = 100
 
-// labelItem is the consequent item.
-const labelItem = Item(uint32(fieldLabel)<<24 | 1)
-
 // catalogPorts are the DDoS catalog ports above the well-known range.
 var catalogPorts = []uint16{1194, 1434, 1900, 1935, 2048, 3283, 3389, 3702,
 	4500, 5060, 8080, 8443, 10001, 11211, 27015}
@@ -184,7 +181,7 @@ var neverMatch = classMatch{want: 1 << 63}
 
 func (m classMatch) matches(c Class) bool { return c&m.mask == m.want }
 
-// lowerAntecedent lowers an antecedent with MatchRecord's semantics: every
+// lowerAntecedent lowers an antecedent with the rule semantics: every
 // item must hold, port items also require an unfragmented record, and two
 // items that disagree on a field (or a value no record discretises to, or
 // an unknown field) make the antecedent unsatisfiable.
@@ -247,37 +244,4 @@ func ItemsString(items []Item) string {
 		parts[i] = ItemString(it)
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
-}
-
-// MatchRecord reports whether every item of the antecedent holds for the
-// record's discretization. It is the per-item statement of the rule
-// semantics; Tagger matches the same semantics on lowered classes.
-func MatchRecord(antecedent []Item, r *netflow.Record) bool {
-	for _, it := range antecedent {
-		switch it.Field() {
-		case FieldProtocol:
-			if uint32(r.Protocol) != it.Value() {
-				return false
-			}
-		case FieldSrcPort:
-			if r.Fragment || PortValue(r.SrcPort) != it.Value() {
-				return false
-			}
-		case FieldDstPort:
-			if r.Fragment || PortValue(r.DstPort) != it.Value() {
-				return false
-			}
-		case FieldSize:
-			if SizeBin(r.MeanPacketSize()) != it.Value() {
-				return false
-			}
-		case FieldFragment:
-			if !r.Fragment {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
 }

@@ -43,9 +43,6 @@ func (r *Rule) String() string {
 		ItemsString(r.Antecedent), r.Confidence, r.Support, r.Status)
 }
 
-// Match reports whether the rule's antecedent matches the record.
-func (r *Rule) Match(rec *netflow.Record) bool { return MatchRecord(r.Antecedent, rec) }
-
 // ruleID derives the stable ID from the antecedent.
 func ruleID(items []Item) string {
 	h := sha256.New()
@@ -336,16 +333,6 @@ func (s *RuleSet) Accepted() []Rule {
 		}
 	}
 	return out
-}
-
-// AcceptAll accepts every staging rule; used by the scripted operator
-// policy when thresholds have pre-filtered rules.
-func (s *RuleSet) AcceptAll() {
-	for _, r := range s.rules {
-		if r.Status == StatusStaging {
-			r.Status = StatusAccept
-		}
-	}
 }
 
 // AcceptPolicy is a scripted stand-in for the operator review of §5.1.2/

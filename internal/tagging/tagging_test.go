@@ -125,7 +125,7 @@ func TestMineFrequentSmall(t *testing.T) {
 		{Items: []Item{a, c}, Blackholed: false, Count: 1},
 		{Items: []Item{a}, Blackholed: false, Count: 1},
 	}
-	sets := MineFrequent(txs, 2)
+	sets := MineFrequentWorkers(txs, 2, 0)
 	bySig := map[string]Itemset{}
 	for _, s := range sets {
 		bySig[ItemsString(s.Items)] = s
@@ -184,7 +184,7 @@ func TestMineFrequentAgainstBruteForce(t *testing.T) {
 			txs[i] = Transaction{Items: sortedCopy(items), Blackholed: bh, Count: 1}
 		}
 		minCount := 1 + int(seed%3)
-		got := MineFrequent(txs, minCount)
+		got := MineFrequentWorkers(txs, minCount, 0)
 		gotMap := map[string][2]int{}
 		for _, s := range got {
 			gotMap[ItemsString(s.Items)] = [2]int{s.Count, s.BHCount}
@@ -519,5 +519,14 @@ func BenchmarkTaggerMatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tg.Matches(&rec)
+	}
+}
+
+// AcceptAll accepts every staging rule.
+func (s *RuleSet) AcceptAll() {
+	for _, r := range s.rules {
+		if r.Status == StatusStaging {
+			r.Status = StatusAccept
+		}
 	}
 }

@@ -83,8 +83,7 @@ func TestSaveMatchesEncodingJSON(t *testing.T) {
 				e.Override(domains[rng.IntN(len(domains))], randomKey(rng),
 					[]float64{0, -3.5, 1e-9, 2.5e21, 1e21, 123456.789, -1e-7, math.Pi}[rng.IntN(8)])
 			}
-			e.Override("cleared", 5, 1)
-			e.ClearOverride("cleared", 5) // leaves an empty override map behind
+			e.overrides["cleared"] = map[uint64]float64{} // an empty override map
 		}
 		want, err := referenceSave(e)
 		if err != nil {

@@ -68,7 +68,7 @@ func TestSnapshotMatchesLockedPath(t *testing.T) {
 	}
 }
 
-// TestSnapshotInvalidation: observations, merges and override changes must
+// TestSnapshotInvalidation: observations and override changes must
 // be visible through the lock-free path without an explicit Fit call.
 func TestSnapshotInvalidation(t *testing.T) {
 	e := NewEncoder()
@@ -91,19 +91,6 @@ func TestSnapshotInvalidation(t *testing.T) {
 	e.Override("d", 2, 9.9)
 	if got := e.WoE("d", 2); got != 9.9 {
 		t.Errorf("override after fit = %v, want 9.9", got)
-	}
-	e.ClearOverride("d", 2)
-	if got := e.WoE("d", 2); got == 9.9 {
-		t.Error("cleared override still served")
-	}
-
-	other := NewEncoder()
-	for i := 0; i < 200; i++ {
-		other.Observe("d", 4, true)
-	}
-	e.Merge(other)
-	if w4 := e.WoE("d", 4); w4 <= 0 {
-		t.Errorf("WoE(4) after merge = %v, want positive", w4)
 	}
 }
 

@@ -286,30 +286,6 @@ func (e *Encoder) Override(domainName string, key uint64, woe float64) {
 	}
 }
 
-// ClearOverride removes a pinned value.
-func (e *Encoder) ClearOverride(domainName string, key uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ov, ok := e.overrides[domainName]; ok {
-		delete(ov, key)
-		if e.snap.Load() != nil {
-			e.publishLocked() // drop the pin from the read snapshot
-		}
-	}
-}
-
-// Domains lists the fitted domains sorted by name.
-func (e *Encoder) Domains() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.domains))
-	for name := range e.domains {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Above returns the keys of a domain whose WoE exceeds the threshold — the
 // "reflector knowledge" view used for the cross-IXP overlap analysis
 // (Fig. 12, middle: WoE > 1.0 means e times more likely inside the
@@ -355,28 +331,6 @@ func Overlap(a, b *Encoder, domainName string, threshold float64) float64 {
 		}
 	}
 	return float64(inter) / float64(len(ka)+len(kb)-inter)
-}
-
-// Merge folds the counts of another encoder into this one (training a
-// joint encoder over several vantage points).
-func (e *Encoder) Merge(other *Encoder) {
-	other.mu.RLock()
-	defer other.mu.RUnlock()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for name, od := range other.domains {
-		d := e.domain(name)
-		for k, c := range od.pos {
-			d.pos[k] += c
-		}
-		for k, c := range od.neg {
-			d.neg[k] += c
-		}
-	}
-	e.posTotal += other.posTotal
-	e.negTotal += other.negTotal
-	e.dirty = true
-	e.snap.Store(nil)
 }
 
 // Fingerprint returns a deterministic 64-bit digest of the encoder's

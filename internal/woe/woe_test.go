@@ -94,10 +94,6 @@ func TestOverride(t *testing.T) {
 	if w := e.WoE("src_ip", 42); w != -5 {
 		t.Errorf("override lost after refit: %v", w)
 	}
-	e.ClearOverride("src_ip", 42)
-	if w := e.WoE("src_ip", 42); w <= 0 {
-		t.Errorf("clear override failed: %v", w)
-	}
 }
 
 func TestAboveAndOverlap(t *testing.T) {
@@ -129,23 +125,6 @@ func TestAboveAndOverlap(t *testing.T) {
 	}
 	if Overlap(NewEncoder(), NewEncoder(), "src_ip", 1.0) != 0 {
 		t.Error("empty overlap must be 0")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a, b := NewEncoder(), NewEncoder()
-	for i := 0; i < 30; i++ {
-		a.Observe("p", 1, true)
-		b.Observe("p", 1, true)
-		b.Observe("p", 2, false)
-	}
-	a.Merge(b)
-	a.Fit()
-	if w := a.WoE("p", 1); w <= 0 {
-		t.Errorf("merged WoE(1) = %v", w)
-	}
-	if w := a.WoE("p", 2); w >= 0 {
-		t.Errorf("merged WoE(2) = %v", w)
 	}
 }
 
