@@ -33,6 +33,47 @@ func ForRules(rules []tagging.Rule, action Action) []Entry {
 	return out
 }
 
+func TestForRulesSkipsUnaccepted(t *testing.T) {
+	entries := ForRules([]tagging.Rule{ntpRule(tagging.StatusAccept), ntpRule(tagging.StatusStaging)}, ActionDrop)
+	if len(entries) != 1 {
+		t.Fatalf("entries = %d, want 1 (staging rule excluded)", len(entries))
+	}
+}
+
+func TestForTargetsSkipsUnaccepted(t *testing.T) {
+	rules := []tagging.Rule{ntpRule(tagging.StatusAccept), ntpRule(tagging.StatusStaging), ntpRule(tagging.StatusAccept)}
+	targets := []netip.Addr{netip.MustParseAddr("198.51.100.7"), netip.MustParseAddr("198.51.100.8")}
+	entries := ForTargets(rules, targets, ActionMonitor)
+	if len(entries) != 4 {
+		t.Fatalf("entries = %d, want 4 (2 accepted rules x 2 targets, staging rule excluded)", len(entries))
+	}
+	for _, e := range entries {
+		if e.Rule.Status != tagging.StatusAccept || e.Action != ActionMonitor {
+			t.Errorf("entry %+v", e)
+		}
+	}
+}
+
+func TestForTargetsPrefixLength(t *testing.T) {
+	for _, tc := range []struct {
+		addr string
+		bits int
+	}{
+		{"198.51.100.7", 32},
+		{"2001:db8::7", 128},
+		{"::ffff:198.51.100.7", 32}, // an IPv4 target carried in IPv6 is still one host
+	} {
+		a := netip.MustParseAddr(tc.addr)
+		entries := ForTargets([]tagging.Rule{ntpRule(tagging.StatusAccept)}, []netip.Addr{a}, ActionDrop)
+		if len(entries) != 1 {
+			t.Fatalf("%s: entries = %d", tc.addr, len(entries))
+		}
+		if got := entries[0].Target; got.Bits() != tc.bits || !got.Contains(a) {
+			t.Errorf("%s: target = %s, want a /%d holding the address", tc.addr, got, tc.bits)
+		}
+	}
+}
+
 func TestForTargetsScopesToVictim(t *testing.T) {
 	victim := netip.MustParseAddr("198.51.100.7")
 	entries := ForTargets([]tagging.Rule{ntpRule(tagging.StatusAccept)}, []netip.Addr{victim}, ActionDrop)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -123,5 +124,56 @@ func TestWriterHonorsContext(t *testing.T) {
 	err := w.Publish(ctx, filepath.Join(dir, "acl.txt"), []byte("x"))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// recordFS records every WriteFile and Rename instead of touching a disk.
+type recordFS struct {
+	writes  []string
+	perms   []os.FileMode
+	renames [][2]string
+}
+
+func (f *recordFS) WriteFile(name string, data []byte, perm os.FileMode) error {
+	f.writes = append(f.writes, name)
+	f.perms = append(f.perms, perm)
+	return nil
+}
+
+func (f *recordFS) Rename(oldpath, newpath string) error {
+	f.renames = append(f.renames, [2]string{oldpath, newpath})
+	return nil
+}
+
+func (f *recordFS) Remove(string) error { return nil }
+
+// TestWriterTempFileBesideTarget checks the temp file sits in the target's
+// directory (a rename is atomic only within one filesystem), is hidden from
+// consumers globbing the directory, and is written world-readable.
+func TestWriterTempFileBesideTarget(t *testing.T) {
+	fsys := &recordFS{}
+	w := &Writer{FS: fsys, Backoff: instantBackoff()}
+	path := filepath.Join("acls", "edge1.txt")
+	for i := 0; i < 2; i++ {
+		if err := w.Publish(context.Background(), path, []byte("deny\n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(fsys.writes) != 2 || len(fsys.renames) != 2 {
+		t.Fatalf("writes=%v renames=%v", fsys.writes, fsys.renames)
+	}
+	for i, tmp := range fsys.writes {
+		if filepath.Dir(tmp) != "acls" || !strings.HasPrefix(filepath.Base(tmp), ".tmp.edge1.txt.") {
+			t.Errorf("temp file %q not a hidden sibling of %q", tmp, path)
+		}
+		if fsys.perms[i] != 0o644 {
+			t.Errorf("temp file mode = %v, want 0644", fsys.perms[i])
+		}
+		if fsys.renames[i] != [2]string{tmp, path} {
+			t.Errorf("rename %v, want %s -> %s", fsys.renames[i], tmp, path)
+		}
+	}
+	if fsys.writes[0] == fsys.writes[1] {
+		t.Errorf("two publishes reused temp name %q", fsys.writes[0])
 	}
 }

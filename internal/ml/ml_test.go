@@ -60,6 +60,53 @@ func TestFolds(t *testing.T) {
 	}
 }
 
+func TestFoldsDeterministicPerSeed(t *testing.T) {
+	d := blobsDataset(t, 1, 101)
+	a, b, c := d.Folds(7, 4), d.Folds(7, 4), d.Folds(8, 4)
+	same := true
+	for f := range a {
+		if len(a[f]) != len(b[f]) {
+			t.Fatalf("fold %d: sizes %d vs %d for one seed", f, len(a[f]), len(b[f]))
+		}
+		for i := range a[f] {
+			if a[f][i] != b[f][i] {
+				t.Fatalf("fold %d differs at %d for one seed", f, i)
+			}
+			if i < len(c[f]) && a[f][i] != c[f][i] {
+				same = false
+			}
+		}
+		if n, lo := len(a[f]), d.Len()/4; n < lo || n > lo+1 {
+			t.Errorf("fold %d holds %d of %d rows, want %d or %d", f, n, d.Len(), lo, lo+1)
+		}
+	}
+	if same {
+		t.Error("seeds 7 and 8 gave identical folds")
+	}
+	if got := len(d.Folds(7, 1)); got != 2 {
+		t.Errorf("k=1 gave %d folds, want the minimum of 2", got)
+	}
+}
+
+func TestTrainFoldComplement(t *testing.T) {
+	folds := [][]int{{4, 0}, {2}, {1, 3}}
+	for i := range folds {
+		train := TrainFold(folds, i)
+		in := map[int]bool{}
+		for _, j := range train {
+			in[j] = true
+		}
+		for _, j := range folds[i] {
+			if in[j] {
+				t.Errorf("fold %d: held-out row %d in the training set", i, j)
+			}
+		}
+		if len(train)+len(folds[i]) != 5 || len(in) != len(train) {
+			t.Errorf("fold %d: train %v is not the complement", i, train)
+		}
+	}
+}
+
 func TestSample(t *testing.T) {
 	d := blobsDataset(t, 2, 100)
 	s := d.Sample(1, 50)

@@ -48,3 +48,36 @@ func TestBackoffWaitVirtualSleeper(t *testing.T) {
 		t.Fatal("Wait on canceled context succeeded")
 	}
 }
+
+func TestBackoffZeroValueDefaults(t *testing.T) {
+	var b Backoff
+	if got := b.Next(); got != 50*time.Millisecond {
+		t.Fatalf("first delay = %v, want the 50ms default base", got)
+	}
+	for i := 0; i < 20; i++ {
+		b.Next()
+	}
+	if got := b.Next(); got != 30*time.Second {
+		t.Fatalf("late delay = %v, want the 30s default cap", got)
+	}
+	if b.Attempt() != 22 {
+		t.Fatalf("Attempt = %d, want 22", b.Attempt())
+	}
+	b.Reset()
+	if b.Attempt() != 0 {
+		t.Fatalf("Attempt after Reset = %d", b.Attempt())
+	}
+}
+
+func TestBackoffWaitInterruptedByCancel(t *testing.T) {
+	b := &Backoff{Base: time.Hour} // real timer: only the deadline can end the wait
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := b.Wait(ctx); err != context.DeadlineExceeded {
+		t.Fatalf("Wait = %v, want context.DeadlineExceeded", err)
+	}
+	if waited := time.Since(start); waited > 10*time.Second {
+		t.Fatalf("Wait took %v after its deadline", waited)
+	}
+}

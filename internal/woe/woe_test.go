@@ -306,3 +306,39 @@ func TestFingerprintDeterministic(t *testing.T) {
 		t.Fatal("fingerprint changed across save/load")
 	}
 }
+
+// TestObserveBatchMatchesObserve holds ObserveBatch to its contract: the
+// counts, totals and saved bytes are those of the same Observe calls made
+// one by one, domains created lazily in first-use order included.
+func TestObserveBatchMatchesObserve(t *testing.T) {
+	domains := []string{"src_ip", "dst_port", "unused"}
+	one, batch := NewEncoder(), NewEncoder()
+	batch.ObserveBatch(domains, func(*Tally) {}) // an empty batch creates nothing
+	for round := uint64(0); round < 3; round++ {
+		batch.ObserveBatch(domains, func(tl *Tally) {
+			for i := uint64(0); i < 200; i++ {
+				key, label := round*1000+i*7, (i+round)%3 == 0
+				one.Observe("dst_port", i%53, label)
+				tl.Observe(1, i%53, label)
+				one.Observe("src_ip", key, !label)
+				tl.Observe(0, key, !label)
+			}
+		})
+	}
+	if one.Fingerprint() != batch.Fingerprint() {
+		t.Fatal("batched counts differ from one-by-one Observe")
+	}
+	var a, b bytes.Buffer
+	if err := one.Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("saved bytes differ:\n%s\n%s", a.Bytes(), b.Bytes())
+	}
+	if got, want := batch.WoE("src_ip", 7), one.WoE("src_ip", 7); got != want {
+		t.Fatalf("WoE after batch = %v, want %v", got, want)
+	}
+}
